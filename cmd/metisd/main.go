@@ -340,6 +340,6 @@ func run(args []string) (err error) {
 
 	st := srv.Stats()
 	fmt.Fprintf(os.Stderr, "metisd: drained after %d epochs: %d accepted, %d rejected, %d shed, %d degraded epochs, revenue=%.3f cost=%.3f\n",
-		st.Epoch, st.Accepted, st.Rejected, st.Shed, st.DegradedEpochs, st.Revenue, st.PurchasedCost)
+		st.Epoch, st.Accepted, st.Rejected, st.Shed, st.DegradedEpochs, st.Revenue, st.PurchasedCostTotal)
 	return nil
 }

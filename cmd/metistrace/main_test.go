@@ -140,3 +140,24 @@ this line is not json
 		}
 	}
 }
+
+// TestEpochsTableReplanColumns: the epochs table splits out each tick's
+// replan time and LP-skipping replans.
+func TestEpochsTableReplanColumns(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "daemon.jsonl")
+	trace := `{"kind":"span","name":"serve.epoch","dur_us":9000,"fields":{"epoch":4,"slot":4,"policy":"metis-incremental","status":"ok","batch":500,"accepted":120,"rejected":380,"shed":0,"queue_depth":0,"elapsed_ms":9,"replan_ms":5.25,"replan_skips":1,"budget_ms":95}}
+`
+	if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if err := run([]string{"-in", path, "-csv"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, want := range []string{"elapsed_ms,replan_ms,replan_skips,budget_ms", ",9,5.25,1,95"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("epochs table missing %q:\n%s", want, got)
+		}
+	}
+}

@@ -68,7 +68,10 @@ func main() {
 	}
 	tickUpTo(restored, metis.DefaultSlots)
 
+	// Decision counts are per process, but revenue and purchase cost
+	// travel in the snapshot, so the restored server's figures already
+	// cover the whole cycle.
 	st := restored.Stats()
 	fmt.Printf("epoch %2d   accepted %3d   rejected %3d   revenue %8.2f   cost %8.2f\n",
-		st.Epoch, half.Accepted+st.Accepted, half.Rejected+st.Rejected, half.Revenue+st.Revenue, st.PurchasedCost)
+		st.Epoch, half.Accepted+st.Accepted, half.Rejected+st.Rejected, st.Revenue, st.PurchasedCostTotal)
 }

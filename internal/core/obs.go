@@ -14,6 +14,7 @@ var (
 	cReplanFull      = obs.NewCounter("core.replan.full", "replans that ran the full Metis alternation from scratch")
 	cReplanRefines   = obs.NewCounter("core.replan.refines", "replans that ran one incumbent-refinement round on the persistent model")
 	cReplanFallbacks = obs.NewCounter("core.replan.fallbacks", "incremental replans that dropped the persistent session and fell back to a cold full solve")
+	cReplanLPSkips   = obs.NewCounter("core.replan.lp_skips", "refinements that skipped the LP stages because an earlier one in the billing cycle missed its budget")
 )
 
 // Deadline/cancellation outcomes of SolveCtx.

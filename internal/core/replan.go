@@ -47,7 +47,15 @@ const (
 // the incremental machinery — a session build or extension error, a
 // solver bail — drops the persistent model and re-solves the whole
 // workload from scratch with SolveCtx; Reset (the cycle wrap) discards
-// everything. A Replanner is not safe for concurrent use.
+// everything.
+//
+// A refinement whose LP stages (BL relaxation, TAA) run out of budget
+// marks the cycle cut short: the persistent model is dropped and every
+// later replan of the cycle runs only the cheap stages (lifted
+// incumbent, greedy extension). Within a cycle the workload only grows
+// and each replan gets the same budget share, so an LP that missed its
+// budget at n requests would miss it again at any n' > n; Reset re-arms
+// the LP once per cycle. A Replanner is not safe for concurrent use.
 type Replanner struct {
 	cfg   Config
 	mode  ReplanMode
@@ -55,14 +63,15 @@ type Replanner struct {
 	slots int
 	paths int
 
-	inst      *sched.Instance
-	sess      *spm.BLSession  // incremental mode only
-	incumbent *sched.Schedule // best schedule over inst; nil before the first replan
-	profit    float64
-	charged   []int
-	planned   int // requests observed at the last completed replan
-	loadsBuf  [][]float64
-	relX      [][]float64 // last BL relaxation's fractional X, aligned to observed positions
+	inst       *sched.Instance
+	sess       *spm.BLSession  // incremental mode only
+	incumbent  *sched.Schedule // best schedule over inst; nil before the first replan
+	profit     float64
+	charged    []int
+	planned    int // requests observed at the last completed replan
+	loadsBuf   [][]float64
+	relX       [][]float64 // last BL relaxation's fractional X, aligned to observed positions
+	lpCutShort bool        // an LP stage missed its budget this cycle; later refines skip the LP
 }
 
 // NewReplanner builds an empty replanner for one billing cycle of slots
@@ -76,13 +85,35 @@ func NewReplanner(net *wan.Network, slots int, pathsPerRequest int, cfg Config, 
 }
 
 // Reset drops all cycle-scoped state: the observed workload, the
-// persistent session and its warm basis, and the incumbent. The serve
+// persistent session and its warm basis, the incumbent, and the
+// cut-short mark (so the new cycle probes the LP again). The serve
 // layer calls it when the billing cycle wraps.
 func (rp *Replanner) Reset() {
 	rp.inst, rp.sess, rp.incumbent = nil, nil, nil
 	rp.profit, rp.charged, rp.planned = 0, nil, 0
-	rp.relX = nil
+	rp.relX, rp.lpCutShort = nil, false
 }
+
+// LPCutShort reports whether an LP stage missed its budget this cycle,
+// so that later refinements skip the LP until Reset. Together with
+// Observed and IncumbentChoices it is part of the durable state.
+func (rp *Replanner) LPCutShort() bool { return rp.lpCutShort }
+
+// RestoreLPCutShort re-installs a snapshot's or redo record's
+// cut-short mark. Setting it drops the persistent session, exactly as
+// the cut-short refinement did.
+func (rp *Replanner) RestoreLPCutShort(cut bool) {
+	if cut {
+		rp.markCutShort()
+	} else {
+		rp.lpCutShort = false
+	}
+}
+
+// markCutShort records that an LP stage missed its budget this cycle
+// and drops the persistent session, so Observe stops appending columns
+// that no later refinement of the cycle would solve.
+func (rp *Replanner) markCutShort() { rp.lpCutShort, rp.sess = true, nil }
 
 // Observe folds newly arrived requests into the observed workload. In
 // incremental mode the persistent session absorbs them as appended
@@ -216,7 +247,9 @@ func (rp *Replanner) RestoreRelaxedGuide(x [][]float64) {
 // pruning — and keeps the most profitable of incumbent, extension and
 // TAA schedule. A context expiry mid-refinement returns the best of
 // what had finished with Result.Degraded set, mirroring SolveCtx's
-// degradation contract; the incumbent never regresses.
+// degradation contract; the incumbent never regresses. Once an LP stage
+// has expired this cycle, refinements stop after the greedy extension
+// and return its result undegraded (see LPCutShort).
 func (rp *Replanner) Replan(ctx context.Context) (*Result, error) {
 	if rp.inst == nil || rp.inst.NumRequests() == 0 {
 		return nil, ErrNoRequests
@@ -284,6 +317,10 @@ func (rp *Replanner) refine(ctx context.Context) (*Result, error) {
 	if extProfit > bestProfit {
 		best, bestProfit = ext, extProfit
 	}
+	if rp.lpCutShort {
+		cReplanLPSkips.Inc()
+		return rp.finish(start, best, bestProfit, buf, nil), nil
+	}
 	if err := solvectx.Err(lpOpts.Ctx); err != nil {
 		return rp.finish(start, best, bestProfit, buf, err), nil
 	}
@@ -297,6 +334,7 @@ func (rp *Replanner) refine(ctx context.Context) (*Result, error) {
 	rel, err := rp.relax(lpOpts, caps)
 	if err != nil {
 		if solvectx.Is(err) {
+			rp.markCutShort()
 			return rp.finish(start, best, bestProfit, buf, err), nil
 		}
 		return nil, err
@@ -309,6 +347,7 @@ func (rp *Replanner) refine(ctx context.Context) (*Result, error) {
 	taaRes, err := taa.Solve(inst, caps, taa.Options{LP: lpOpts, Relaxed: rel, Ctx: lpOpts.Ctx})
 	if err != nil {
 		if solvectx.Is(err) {
+			rp.markCutShort()
 			return rp.finish(start, best, bestProfit, buf, err), nil
 		}
 		return nil, err

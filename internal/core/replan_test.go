@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
 	"os"
 	"testing"
 
 	"metis/internal/demand"
+	"metis/internal/fault"
+	"metis/internal/obs"
+	"metis/internal/sched"
 	"metis/internal/stats"
 	"metis/internal/wan"
 )
@@ -209,5 +213,117 @@ func TestReplannerSnapshotRoundTrip(t *testing.T) {
 	}
 	if ro.Profit != rr.Profit {
 		t.Fatalf("restored replanner profit %v, original %v", rr.Profit, ro.Profit)
+	}
+}
+
+// TestReplannerSkipsLPAfterCutShort pins the cut-short rule: once a
+// refinement's LP stage expires, the rest of the billing cycle runs no
+// LP — later refinements return the better of the lifted incumbent and
+// its greedy extension, undegraded, and Observe stops growing the
+// session — until Reset re-arms the LP for the next cycle.
+func TestReplannerSkipsLPAfterCutShort(t *testing.T) {
+	net := wan.SubB4()
+	pool := requestPool(t, net, 60, 4711)
+	cfg := Config{Theta: 2, Seed: 4711}
+	for _, mode := range []ReplanMode{ReplanIncremental, ReplanColdRefine} {
+		rp := NewReplanner(net, 12, 3, cfg, mode)
+		if err := rp.Observe(pool[:20]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rp.Replan(nil); err != nil {
+			t.Fatal(err)
+		}
+		if rp.LPCutShort() {
+			t.Fatalf("mode %d: a replan without a deadline marked the cycle cut short", mode)
+		}
+
+		// Cut the next refinement short inside its first LP solve.
+		if err := rp.Observe(pool[20:30]); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		fault.Enable("lp.solve", fault.Spec{Kind: fault.KindCancel, Cancel: cancel})
+		cut, err := rp.Replan(ctx)
+		fault.Reset()
+		cancel()
+		if err != nil {
+			t.Fatalf("mode %d: cut-short replan: %v", mode, err)
+		}
+		if !cut.Degraded || !rp.LPCutShort() {
+			t.Fatalf("mode %d: cut-short replan degraded=%v, mark=%v; want both", mode, cut.Degraded, rp.LPCutShort())
+		}
+		if rp.sess != nil {
+			t.Fatalf("mode %d: cut-short replan kept its BL session", mode)
+		}
+		prior := rp.IncumbentChoices()
+
+		// Observe no longer feeds a session.
+		if err := rp.Observe(pool[30:45]); err != nil {
+			t.Fatal(err)
+		}
+		if rp.sess != nil {
+			t.Fatalf("mode %d: Observe rebuilt the session after the cycle was cut short", mode)
+		}
+
+		// Independent expectation: the better of the lifted-and-pruned
+		// incumbent and its pruned greedy extension.
+		inc := sched.NewSchedule(rp.inst)
+		for i, c := range prior {
+			if c != sched.Declined {
+				if err := inc.Assign(i, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		incProfit, buf := pruneUnprofitable(inc, nil)
+		ext := inc.Clone()
+		buf = greedyExtend(ext, buf)
+		extProfit, _ := pruneUnprofitable(ext, buf)
+		want, wantProfit := inc, incProfit
+		if extProfit > wantProfit {
+			want, wantProfit = ext, extProfit
+		}
+
+		solves, skips := obs.Snapshot()["lp.solves"], cReplanLPSkips.Value()
+		got, err := rp.Replan(context.Background())
+		if err != nil {
+			t.Fatalf("mode %d: skipped replan: %v", mode, err)
+		}
+		if d := obs.Snapshot()["lp.solves"] - solves; d != 0 {
+			t.Fatalf("mode %d: replan after a cut-short one ran %v LP solves, want 0", mode, d)
+		}
+		if d := cReplanLPSkips.Value() - skips; d != 1 {
+			t.Fatalf("mode %d: core.replan.lp_skips moved by %d, want 1", mode, d)
+		}
+		if got.Degraded {
+			t.Fatalf("mode %d: skipped replan reported degraded (%v)", mode, got.Cause)
+		}
+		if got.Profit != wantProfit {
+			t.Fatalf("mode %d: skipped replan profit %.17g, want %.17g", mode, got.Profit, wantProfit)
+		}
+		for i := 0; i < rp.NumObserved(); i++ {
+			if got.Schedule.Choice(i) != want.Choice(i) {
+				t.Fatalf("mode %d: request %d on path %d, want %d", mode, i, got.Schedule.Choice(i), want.Choice(i))
+			}
+		}
+
+		// The cycle wrap re-arms the LP.
+		rp.Reset()
+		if rp.LPCutShort() {
+			t.Fatalf("mode %d: Reset kept the cut-short mark", mode)
+		}
+		if err := rp.Observe(pool[45:]); err != nil {
+			t.Fatal(err)
+		}
+		solves = obs.Snapshot()["lp.solves"]
+		if _, err := rp.Replan(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if obs.Snapshot()["lp.solves"] == solves {
+			t.Fatalf("mode %d: first replan of a new cycle ran no LP", mode)
+		}
+		if mode == ReplanIncremental && rp.sess == nil {
+			t.Fatal("first replan of a new cycle built no session")
+		}
 	}
 }

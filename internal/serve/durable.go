@@ -57,15 +57,16 @@ type walTick struct {
 }
 
 // walPolicyDelta is the compact policy state a tick record carries: the
-// adopted capacity plan and replan clock. Together with observe-only
-// catch-up over the replayed batches this reproduces the metis
-// policies' decision-relevant state; the warm incumbent/relaxation are
-// caches rebuilt by the next replan.
+// adopted capacity plan, the replan clock and the cycle's LP cut-short
+// mark. Together with observe-only catch-up over the replayed batches
+// this reproduces the metis policies' decision-relevant state; the warm
+// incumbent/relaxation are caches rebuilt by the next replan.
 type walPolicyDelta struct {
 	Name       string `json:"name"`
 	Plan       []int  `json:"plan,omitempty"`
 	HavePlan   bool   `json:"havePlan,omitempty"`
 	LastReplan int    `json:"lastReplan,omitempty"`
+	LPCutShort bool   `json:"lpCutShort,omitempty"`
 }
 
 // walFence is a fencing-token record, appended by the HA layer when a
@@ -299,9 +300,7 @@ func (s *Server) recoverTick(tr *walTick, st *RecoverStats) error {
 		return fmt.Errorf("serve: wal tick %d claims slot %d, cycle says %d", tr.Epoch, tr.Slot, slot)
 	}
 	if slot == 0 && tr.Epoch > 0 {
-		s.led.Reset()
-		s.cfg.Policy.Reset()
-		cCycles.Inc()
+		s.wrapCycle()
 	}
 
 	// Claim exactly the logged batch out of the queue. Every decided id

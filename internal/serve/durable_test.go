@@ -299,3 +299,80 @@ func TestStandbyRefusesTraffic(t *testing.T) {
 		t.Fatalf("promoted server did not tick (epoch %d)", s.Epoch())
 	}
 }
+
+// TestPurchasedCostTotalAcrossWrap: /v1/stats reports the purchase cost
+// of every billing cycle, not only the current ledger's, so revenue −
+// purchasedCostTotal is the realized profit the scorecard rows add up
+// to — and the total survives both snapshot restore and WAL replay.
+func TestPurchasedCostTotalAcrossWrap(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	var pool []demand.Request
+	for i := 0; i < 20; i++ {
+		pool = append(pool, goodRequest(5+float64(i)))
+	}
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := walServer(t, l, nil)
+	submit := func(s *Server, reqs []demand.Request) {
+		t.Helper()
+		for _, r := range reqs {
+			if _, err := s.Submit(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	submit(orig, pool[:10])
+	orig.Tick(context.Background())
+	firstCycle := orig.Stats().PurchasedCost
+	if firstCycle <= 0 {
+		t.Fatal("first cycle bought nothing; the test needs purchases on both sides of the wrap")
+	}
+	for orig.Epoch() < demand.DefaultSlots+1 {
+		orig.Tick(context.Background())
+	}
+	submit(orig, pool[10:])
+	orig.Tick(context.Background())
+
+	st := orig.Stats()
+	if st.Cycle != 1 || st.PurchasedCost <= 0 {
+		t.Fatalf("cycle %d with purchase cost %v; want purchases in cycle 1", st.Cycle, st.PurchasedCost)
+	}
+	if want := firstCycle + st.PurchasedCost; st.PurchasedCostTotal != want {
+		t.Fatalf("purchasedCostTotal %v, want %v + %v", st.PurchasedCostTotal, firstCycle, st.PurchasedCost)
+	}
+	var profit float64
+	for _, rec := range orig.EpochRecords() {
+		profit += rec.ProfitDelta
+	}
+	if d := st.Revenue - st.PurchasedCostTotal - profit; d > 1e-9 || d < -1e-9 {
+		t.Fatalf("revenue − purchasedCostTotal = %v, scorecard profit %v", st.Revenue-st.PurchasedCostTotal, profit)
+	}
+
+	var img bytes.Buffer
+	if err := orig.Snapshot(&img); err != nil {
+		t.Fatal(err)
+	}
+	restored := newTestServer(t, func(c *Config) { c.Epoch = time.Minute })
+	if err := restored.Restore(&img); err != nil {
+		t.Fatal(err)
+	}
+	if got := restored.Stats(); got.PurchasedCostTotal != st.PurchasedCostTotal || got.Revenue != st.Revenue {
+		t.Fatalf("restored revenue/total cost %v/%v, want %v/%v", got.Revenue, got.PurchasedCostTotal, st.Revenue, st.PurchasedCostTotal)
+	}
+	l.Close()
+
+	l2, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	replayed := walServer(t, l2, nil)
+	if _, err := replayed.RecoverWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayed.Stats(); got.PurchasedCostTotal != st.PurchasedCostTotal || got.Revenue != st.Revenue {
+		t.Fatalf("replayed revenue/total cost %v/%v, want %v/%v", got.Revenue, got.PurchasedCostTotal, st.Revenue, st.PurchasedCostTotal)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +15,9 @@ import (
 
 	"metis/internal/core"
 	"metis/internal/demand"
+	"metis/internal/fault"
 	"metis/internal/spm"
+	"metis/internal/wal"
 	"metis/internal/wan"
 )
 
@@ -263,5 +266,181 @@ func TestSubmitBatchEndpoint(t *testing.T) {
 	}
 	if st := s.Stats(); st.Submitted != 2 || st.QueueDepth != 2 {
 		t.Fatalf("stats after batch: %+v", st)
+	}
+}
+
+// cutShortTick runs one tick whose first LP solve cancels the tick's
+// context, so the metis replan is cut short inside its LP stage.
+func cutShortTick(s *Server) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fault.Enable("lp.solve", fault.Spec{Kind: fault.KindCancel, Cancel: cancel})
+	defer fault.Reset()
+	s.Tick(ctx)
+}
+
+// lastRecord returns the scorecard's newest row.
+func lastRecord(t *testing.T, s *Server) EpochRecord {
+	t.Helper()
+	rec, ok := s.score.last()
+	if !ok {
+		t.Fatal("no scorecard record")
+	}
+	return rec
+}
+
+// TestReplanCutShortSurvivesRestore: a metis-incremental cycle whose
+// replan LP was cut short skips the LP for the rest of the cycle, and
+// a mid-cycle snapshot carries that mark — the restored server skips
+// exactly when the uninterrupted one does and decides byte-identically.
+func TestReplanCutShortSurvivesRestore(t *testing.T) {
+	net := wan.SubB4()
+	pool := genPool(t, net, 60, 1212)
+	mk := func() *Server {
+		s, err := New(Config{Net: net, Epoch: time.Minute, Policy: incrementalPolicy(t, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	submit := func(s *Server, reqs []demand.Request) {
+		t.Helper()
+		for _, r := range reqs {
+			if _, err := s.Submit(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	orig := mk()
+	submit(orig, pool[:20])
+	orig.Tick(context.Background())
+	if rec := lastRecord(t, orig); rec.Replans != 1 || rec.ReplansDegraded != 0 || rec.LPSolves == 0 {
+		t.Fatalf("first replan: %d replans, %d degraded, %d LP solves; want a complete LP replan",
+			rec.Replans, rec.ReplansDegraded, rec.LPSolves)
+	}
+	submit(orig, pool[20:30])
+	cutShortTick(orig)
+	if rec := lastRecord(t, orig); rec.ReplansDegraded != 1 {
+		t.Fatalf("cut-short tick: %d degraded replans, want 1", rec.ReplansDegraded)
+	}
+	if !orig.policyImage.LPCutShort {
+		t.Fatal("policy state lost the cut-short mark")
+	}
+
+	// The next replan in the cycle runs no LP and is not degraded.
+	submit(orig, pool[30:40])
+	orig.Tick(context.Background())
+	rec := lastRecord(t, orig)
+	if rec.Replans != 1 || rec.ReplanSkips != 1 || rec.ReplansDegraded != 0 || rec.LPSolves != 0 {
+		t.Fatalf("post-cut tick: %d replans, %d skips, %d degraded, %d LP solves; want 1, 1, 0, 0",
+			rec.Replans, rec.ReplanSkips, rec.ReplansDegraded, rec.LPSolves)
+	}
+	if rec.ReplanMillis <= 0 || rec.ReplanMillis > rec.ElapsedMillis {
+		t.Fatalf("replan %.3f ms outside the tick's %.3f ms", rec.ReplanMillis, rec.ElapsedMillis)
+	}
+
+	submit(orig, pool[40:50]) // queued across the snapshot
+	var img bytes.Buffer
+	if err := orig.Snapshot(&img); err != nil {
+		t.Fatal(err)
+	}
+	restored := mk()
+	if err := restored.Restore(bytes.NewReader(img.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if !restored.policyImage.LPCutShort {
+		t.Fatal("restored policy state lost the cut-short mark")
+	}
+
+	for _, s := range []*Server{orig, restored} {
+		s.Tick(context.Background()) // decides pool[40:50]
+		submit(s, pool[50:])
+		s.Tick(context.Background())
+		if rec := lastRecord(t, s); rec.ReplanSkips != 1 || rec.LPSolves != 0 {
+			t.Fatalf("tick after restore point: %d skips, %d LP solves; want 1, 0", rec.ReplanSkips, rec.LPSolves)
+		}
+	}
+	for id := int64(41); id <= 60; id++ {
+		do, err := json.Marshal(orig.Decision(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dr, err := json.Marshal(restored.Decision(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(do, dr) {
+			t.Fatalf("request %d decided differently:\noriginal %s\nrestored %s", id, do, dr)
+		}
+	}
+	po, _ := json.Marshal(orig.policyImage)
+	pr, _ := json.Marshal(restored.policyImage)
+	if !bytes.Equal(po, pr) {
+		t.Fatal("policy state diverged after restore")
+	}
+	if !restored.LedgerCopy().Equal(orig.LedgerCopy()) {
+		t.Fatal("ledgers diverged after restore")
+	}
+}
+
+// TestReplanCutShortSurvivesWALReplay: the tick redo record carries the
+// cut-short mark, so a daemon recovered from the log alone skips the
+// replan LP for the rest of the cycle, then probes it again after the
+// wrap.
+func TestReplanCutShortSurvivesWALReplay(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	pool := genPool(t, wan.SubB4(), 40, 1313)
+	mk := func(l *wal.Log) *Server {
+		return walServer(t, l, func(c *Config) { c.Policy = incrementalPolicy(t, 1) })
+	}
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed := mk(l)
+	for _, r := range pool[:20] {
+		if _, err := crashed.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cutShortTick(crashed)
+	l.Close()
+
+	l2, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	recovered := mk(l2)
+	if _, err := recovered.RecoverWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if !recovered.policyImage.LPCutShort {
+		t.Fatal("WAL replay lost the cut-short mark")
+	}
+	for _, r := range pool[20:30] {
+		if _, err := recovered.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recovered.Tick(context.Background())
+	if rec := lastRecord(t, recovered); rec.ReplanSkips != 1 || rec.LPSolves != 0 {
+		t.Fatalf("recovered tick: %d skips, %d LP solves; want 1, 0", rec.ReplanSkips, rec.LPSolves)
+	}
+
+	// Past the wrap the LP is probed again.
+	for recovered.Epoch()%demand.DefaultSlots != 0 {
+		recovered.Tick(context.Background())
+	}
+	for _, r := range pool[30:] {
+		if _, err := recovered.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recovered.Tick(context.Background())
+	if rec := lastRecord(t, recovered); rec.ReplanSkips != 0 || rec.LPSolves == 0 || recovered.policyImage.LPCutShort {
+		t.Fatalf("first tick of the next cycle: %d skips, %d LP solves, mark %v; want an LP replan",
+			rec.ReplanSkips, rec.LPSolves, recovered.policyImage.LPCutShort)
 	}
 }

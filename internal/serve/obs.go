@@ -30,7 +30,9 @@ var (
 	cFlightDumps      = obs.NewCounter("serve.flight.dumps", "postmortem bundles dumped by the flight recorder")
 	cFlightSuppressed = obs.NewCounter("serve.flight.suppressed", "flight-recorder triggers suppressed by the dump cooldown")
 
-	histTick = obs.NewHistogram("serve.tick_seconds", "wall-clock seconds per epoch tick")
+	histTick   = obs.NewHistogram("serve.tick_seconds", "wall-clock seconds per epoch tick")
+	histReplan = obs.NewHistogram("serve.replan_ms", "milliseconds per metis replan inside a tick's policy call")
+	histAdmit  = obs.NewHistogram("serve.admit_ms", "milliseconds per metis admission pass inside a tick's policy call")
 )
 
 // Decision outcomes used to key the per-policy latency histograms.

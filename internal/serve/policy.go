@@ -227,8 +227,10 @@ func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Insta
 				rctx, cancel = context.WithTimeout(ctx, share)
 			}
 		}
+		replanStart := time.Now()
 		res, err := p.rp.Replan(rctx)
 		cancel()
+		histReplan.Observe(millisSince(replanStart))
 		switch {
 		case err == nil:
 			// A degraded replan still returns its best incumbent; adopt
@@ -248,6 +250,7 @@ func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Insta
 		}
 	}
 
+	admitStart := time.Now()
 	st, err := seededState(ctx, led, inst)
 	if err != nil {
 		return nil, err
@@ -278,7 +281,12 @@ func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Insta
 	if err := adm.DecideBatch(st, slot, allIndices(inst.NumRequests())); err != nil {
 		return nil, err
 	}
+	histAdmit.Observe(millisSince(admitStart))
 	return st, nil
+}
+
+func millisSince(t time.Time) float64 {
+	return float64(time.Since(t).Microseconds()) / 1e3
 }
 
 // PolicyState is the snapshot image of the metis policies' cycle state:
@@ -298,6 +306,9 @@ type PolicyState struct {
 	// Seen. It guides the admission pass, so it must survive restore for
 	// post-restore decisions to match an uninterrupted run exactly.
 	RelaxedX [][]float64 `json:"relaxedX,omitempty"`
+	// LPCutShort marks a cycle whose replan LP missed its budget: later
+	// replans of the cycle skip the LP (core.Replanner.LPCutShort).
+	LPCutShort bool `json:"lpCutShort,omitempty"`
 }
 
 // statefulPolicy is implemented by policies whose cycle state must
@@ -333,6 +344,7 @@ func (p *MetisPolicy) replayDelta() *walPolicyDelta {
 		Plan:       append([]int(nil), p.plan...),
 		HavePlan:   p.havePlan,
 		LastReplan: p.lastReplan,
+		LPCutShort: p.rp != nil && p.rp.LPCutShort(),
 	}
 }
 
@@ -346,6 +358,9 @@ func (p *MetisPolicy) applyReplayDelta(d *walPolicyDelta) {
 	}
 	p.havePlan = d.HavePlan
 	p.lastReplan = d.LastReplan
+	if p.rp != nil {
+		p.rp.RestoreLPCutShort(d.LPCutShort)
+	}
 }
 
 func (p *MetisPolicy) policyState() *PolicyState {
@@ -361,6 +376,7 @@ func (p *MetisPolicy) policyState() *PolicyState {
 		HavePlan:   p.havePlan,
 		LastReplan: p.lastReplan,
 		RelaxedX:   p.rp.RelaxedGuide(0),
+		LPCutShort: p.rp.LPCutShort(),
 	}
 }
 
@@ -380,6 +396,7 @@ func (p *MetisPolicy) restorePolicyState(st *PolicyState, net *wan.Network, slot
 		}
 	}
 	rp.RestoreRelaxedGuide(st.RelaxedX)
+	rp.RestoreLPCutShort(st.LPCutShort)
 	p.rp = rp
 	p.plan = append([]int(nil), st.Plan...)
 	if len(st.Plan) == 0 && !st.HavePlan {

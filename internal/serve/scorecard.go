@@ -51,6 +51,10 @@ type EpochRecord struct {
 	SolveStatus   string  `json:"solveStatus"`
 	BudgetMillis  float64 `json:"budgetMillis"`
 	ElapsedMillis float64 `json:"elapsedMillis"`
+	// ReplanMillis is the share of ElapsedMillis the policy spent
+	// replanning (the tick's delta of the serve.replan_ms histogram's
+	// sum; 0 for ticks without a replan).
+	ReplanMillis float64 `json:"replanMillis"`
 
 	// Request latency inside this epoch (arrival → batch claim).
 	QueueWaitMeanMillis float64 `json:"queueWaitMeanMillis"`
@@ -68,6 +72,7 @@ type EpochRecord struct {
 	DualColdBails    int64 `json:"dualColdBails"`
 	Replans          int64 `json:"replans"`
 	ReplansDegraded  int64 `json:"replansDegraded"`
+	ReplanSkips      int64 `json:"replanSkips"` // replans that skipped the LP (cycle already cut short)
 
 	// Realized economics of the tick.
 	RevenueDelta float64 `json:"revenueDelta"`
@@ -94,6 +99,7 @@ func (r *EpochRecord) fillSolverDeltas(before, after map[string]float64) {
 	r.DualColdBails = counterDelta(before, after, "lp.pricing.dual_cold_bails")
 	r.Replans = counterDelta(before, after, "serve.replans")
 	r.ReplansDegraded = counterDelta(before, after, "serve.replans_degraded")
+	r.ReplanSkips = counterDelta(before, after, "core.replan.lp_skips")
 }
 
 // scoreRing is the fixed-size epoch-record ring behind /debug/epochs.

@@ -177,29 +177,36 @@ type Decision struct {
 
 // Stats is the /v1/stats payload.
 type Stats struct {
-	Policy            string  `json:"policy"`
-	Role              string  `json:"role"`
-	FencingToken      uint64  `json:"fencingToken,omitempty"`
-	Epoch             int     `json:"epoch"`
-	Cycle             int     `json:"cycle"`
-	Slot              int     `json:"slot"`
-	QueueDepth        int     `json:"queueDepth"`
-	Submitted         int64   `json:"submitted"`
-	Accepted          int64   `json:"accepted"`
-	Rejected          int64   `json:"rejected"`
-	Shed              int64   `json:"shed"`
-	DegradedEpochs    int64   `json:"degradedEpochs"`
-	DegradedDecisions int64   `json:"degradedDecisions"`
-	Overruns          int64   `json:"overruns"`
-	CheckFailures     int64   `json:"checkFailures"`
-	LastCheckError    string  `json:"lastCheckError,omitempty"`
-	Committed         int     `json:"committed"`
-	PurchasedUnits    int     `json:"purchasedUnits"`
-	PurchasedCost     float64 `json:"purchasedCost"`
-	Revenue           float64 `json:"revenue"`
-	Draining          bool    `json:"draining"`
-	EpochMillis       int64   `json:"epochMillis"`
-	Slots             int     `json:"slots"`
+	Policy            string `json:"policy"`
+	Role              string `json:"role"`
+	FencingToken      uint64 `json:"fencingToken,omitempty"`
+	Epoch             int    `json:"epoch"`
+	Cycle             int    `json:"cycle"`
+	Slot              int    `json:"slot"`
+	QueueDepth        int    `json:"queueDepth"`
+	Submitted         int64  `json:"submitted"`
+	Accepted          int64  `json:"accepted"`
+	Rejected          int64  `json:"rejected"`
+	Shed              int64  `json:"shed"`
+	DegradedEpochs    int64  `json:"degradedEpochs"`
+	DegradedDecisions int64  `json:"degradedDecisions"`
+	Overruns          int64  `json:"overruns"`
+	CheckFailures     int64  `json:"checkFailures"`
+	LastCheckError    string `json:"lastCheckError,omitempty"`
+	Committed         int    `json:"committed"`
+	PurchasedUnits    int    `json:"purchasedUnits"`
+	// PurchasedCost is the current billing cycle's purchase cost; it
+	// resets when the cycle wraps.
+	PurchasedCost float64 `json:"purchasedCost"`
+	// PurchasedCostTotal is every cycle's purchase cost, prior cycles'
+	// plus the current one's: Revenue − PurchasedCostTotal is the
+	// realized profit.
+	PurchasedCostTotal float64 `json:"purchasedCostTotal"`
+	// Revenue is the accepted value over every cycle.
+	Revenue     float64 `json:"revenue"`
+	Draining    bool    `json:"draining"`
+	EpochMillis int64   `json:"epochMillis"`
+	Slots       int     `json:"slots"`
 	// Latency summarizes the lifecycle histograms for this server's
 	// policy: "queueWait" plus one entry per decision outcome.
 	Latency map[string]LatencySummary `json:"latency,omitempty"`
@@ -311,7 +318,8 @@ type Server struct {
 	nDegradedDecisions                         int64
 	nCheckFailures                             int64
 	lastCheckErr                               string
-	revenue                                    float64
+	revenue                                    float64 // accepted value, all cycles
+	priorCost                                  float64 // purchase cost of the cycles before the current one
 
 	// Health bookkeeping.
 	lastTickEnd time.Time // when the last Tick committed
@@ -578,30 +586,31 @@ func (s *Server) Stats() Stats {
 		lat[outcome] = summarize(h)
 	}
 	return Stats{
-		Policy:            s.cfg.Policy.Name(),
-		Role:              roleName(s.role.Load()),
-		FencingToken:      s.token.Load(),
-		Epoch:             s.epoch,
-		Cycle:             s.epoch / s.cfg.Slots,
-		Slot:              s.epoch % s.cfg.Slots,
-		QueueDepth:        int(s.queueDepth.Load()) + len(s.deciding),
-		Submitted:         s.nSubmitted.Load(),
-		Accepted:          s.nAccepted,
-		Rejected:          s.nRejected,
-		Shed:              s.nShed.Load(),
-		DegradedEpochs:    s.nDegraded,
-		DegradedDecisions: s.nDegradedDecisions,
-		Overruns:          s.nOverruns,
-		CheckFailures:     s.nCheckFailures,
-		LastCheckError:    s.lastCheckErr,
-		Committed:         s.led.Committed(),
-		PurchasedUnits:    s.led.PurchasedUnits(),
-		PurchasedCost:     s.led.Cost(),
-		Revenue:           s.revenue,
-		Draining:          s.draining.Load(),
-		EpochMillis:       s.cfg.Epoch.Milliseconds(),
-		Slots:             s.cfg.Slots,
-		Latency:           lat,
+		Policy:             s.cfg.Policy.Name(),
+		Role:               roleName(s.role.Load()),
+		FencingToken:       s.token.Load(),
+		Epoch:              s.epoch,
+		Cycle:              s.epoch / s.cfg.Slots,
+		Slot:               s.epoch % s.cfg.Slots,
+		QueueDepth:         int(s.queueDepth.Load()) + len(s.deciding),
+		Submitted:          s.nSubmitted.Load(),
+		Accepted:           s.nAccepted,
+		Rejected:           s.nRejected,
+		Shed:               s.nShed.Load(),
+		DegradedEpochs:     s.nDegraded,
+		DegradedDecisions:  s.nDegradedDecisions,
+		Overruns:           s.nOverruns,
+		CheckFailures:      s.nCheckFailures,
+		LastCheckError:     s.lastCheckErr,
+		Committed:          s.led.Committed(),
+		PurchasedUnits:     s.led.PurchasedUnits(),
+		PurchasedCost:      s.led.Cost(),
+		PurchasedCostTotal: s.priorCost + s.led.Cost(),
+		Revenue:            s.revenue,
+		Draining:           s.draining.Load(),
+		EpochMillis:        s.cfg.Epoch.Milliseconds(),
+		Slots:              s.cfg.Slots,
+		Latency:            lat,
 	}
 }
 
@@ -692,6 +701,16 @@ func (s *Server) Links() []LinkState {
 	return out
 }
 
+// wrapCycle starts a new billing cycle: fresh ledger and cycle-scoped
+// policy state. Purchases do not carry over; their cost moves into the
+// all-cycle total. The caller holds s.mu.
+func (s *Server) wrapCycle() {
+	s.priorCost += s.led.Cost()
+	s.led.Reset()
+	s.cfg.Policy.Reset()
+	cCycles.Inc()
+}
+
 // Tick processes one epoch synchronously: it takes the queued batch,
 // decides it with the policy under the tick budget derived from ctx,
 // commits accepted requests into the ledger, and records every
@@ -707,6 +726,7 @@ func (s *Server) Tick(ctx context.Context) {
 	tickCtx, cancel := context.WithTimeout(contextOrBackground(ctx), budget)
 	defer cancel()
 	before := obs.Snapshot() // solver-activity baseline for the scorecard
+	replanBefore := histReplan.Sum()
 
 	// Claim the batch; keep it snapshot-visible in s.deciding so a
 	// concurrent snapshot cannot lose in-flight arrivals.
@@ -714,11 +734,7 @@ func (s *Server) Tick(ctx context.Context) {
 	epoch := s.epoch
 	slot := epoch % s.cfg.Slots
 	if slot == 0 && epoch > 0 {
-		// The billing cycle wrapped: new cycle, fresh ledger and
-		// cycle-scoped policy state. Purchases do not carry over.
-		s.led.Reset()
-		s.cfg.Policy.Reset()
-		cCycles.Inc()
+		s.wrapCycle()
 	}
 	batch := s.claimIntake(s.cfg.MaxBatch)
 	s.deciding = batch
@@ -1015,6 +1031,7 @@ func (s *Server) Tick(ctx context.Context) {
 		Overrun:       elapsed > budget,
 		BudgetMillis:  float64(budget.Microseconds()) / 1e3,
 		ElapsedMillis: float64(elapsed.Microseconds()) / 1e3,
+		ReplanMillis:  histReplan.Sum() - replanBefore,
 		RevenueDelta:  s.revenue - revBefore,
 		CostDelta:     s.led.Cost() - costBefore,
 	}
@@ -1057,20 +1074,22 @@ func (s *Server) Tick(ctx context.Context) {
 
 	if s.tracer != nil {
 		obs.Span(s.tracer, "serve.epoch", start, obs.Fields{
-			"epoch":       epoch,
-			"cycle":       rec.Cycle,
-			"slot":        slot,
-			"batch":       len(batch),
-			"accepted":    len(accepted),
-			"rejected":    len(rejected) + len(expiredIdx),
-			"expired":     len(expiredIdx),
-			"shed":        rec.Shed,
-			"degraded":    degraded,
-			"status":      rec.SolveStatus,
-			"policy":      s.cfg.Policy.Name(),
-			"budget_ms":   rec.BudgetMillis,
-			"elapsed_ms":  rec.ElapsedMillis,
-			"queue_depth": rec.QueueDepth,
+			"epoch":        epoch,
+			"cycle":        rec.Cycle,
+			"slot":         slot,
+			"batch":        len(batch),
+			"accepted":     len(accepted),
+			"rejected":     len(rejected) + len(expiredIdx),
+			"expired":      len(expiredIdx),
+			"shed":         rec.Shed,
+			"degraded":     degraded,
+			"status":       rec.SolveStatus,
+			"policy":       s.cfg.Policy.Name(),
+			"budget_ms":    rec.BudgetMillis,
+			"elapsed_ms":   rec.ElapsedMillis,
+			"replan_ms":    rec.ReplanMillis,
+			"replan_skips": rec.ReplanSkips,
+			"queue_depth":  rec.QueueDepth,
 		})
 	}
 	s.score.push(rec)

@@ -46,9 +46,14 @@ type Snapshot struct {
 	// before it is reflected in the image, every record after it is
 	// not. Recovery replays the log from here.
 	WAL *wal.Offset `json:"wal,omitempty"`
-	// Revenue is the cycle's accepted value so far; with a WAL it must
-	// survive restore so replay accumulates on top of the right base.
+	// Revenue is the accepted value over every billing cycle so far;
+	// with a WAL it must survive restore so replay accumulates on top of
+	// the right base.
 	Revenue float64 `json:"revenue,omitempty"`
+	// PriorCost is the purchase cost of the billing cycles before the
+	// ledger's (Stats.PurchasedCostTotal less the ledger's own cost),
+	// kept like Revenue.
+	PriorCost float64 `json:"priorCost,omitempty"`
 }
 
 // QueuedRequest is one pending arrival in a snapshot.
@@ -65,16 +70,17 @@ type QueuedRequest struct {
 func (s *Server) Snapshot(w io.Writer) error {
 	s.mu.Lock()
 	snap := Snapshot{
-		Version: SnapshotVersion,
-		Network: s.cfg.Net.Name(),
-		Links:   s.cfg.Net.NumLinks(),
-		Slots:   s.cfg.Slots,
-		Epoch:   s.epoch,
-		NextID:  s.nextID.Load(),
-		Ledger:  s.led.snap(),
-		Policy:  s.policyImage,
-		Token:   s.token.Load(),
-		Revenue: s.revenue,
+		Version:   SnapshotVersion,
+		Network:   s.cfg.Net.Name(),
+		Links:     s.cfg.Net.NumLinks(),
+		Slots:     s.cfg.Slots,
+		Epoch:     s.epoch,
+		NextID:    s.nextID.Load(),
+		Ledger:    s.led.snap(),
+		Policy:    s.policyImage,
+		Token:     s.token.Load(),
+		Revenue:   s.revenue,
+		PriorCost: s.priorCost,
 	}
 	// The WAL offset and the queue scan are captured under the walGate
 	// write barrier: a submit holds the read side across its append +
@@ -163,6 +169,7 @@ func (s *Server) Restore(r io.Reader) error {
 	s.nextID.Store(snap.NextID)
 	s.pruneFrom = snap.NextID
 	s.revenue = snap.Revenue
+	s.priorCost = snap.PriorCost
 	s.token.Store(snap.Token)
 	if snap.WAL != nil {
 		s.walFrom = *snap.WAL
