@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"metis/internal/exp"
+	"metis/internal/obs"
 )
 
 func TestRunQuickFigure(t *testing.T) {
@@ -43,8 +44,6 @@ func TestRunConflictingFlags(t *testing.T) {
 		{"-fig", "fig4a", "-csv", "-chart", "-json"},
 		{"-list", "-json"},
 		{"-fig", "fig4a", "-warm", "lukewarm"},
-		{"-fig", "fig4a", "-pricing", "steepest"},
-		{"-fig", "fig4a", "-pricing", ""},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v): want validation error, got nil", args)
@@ -52,26 +51,17 @@ func TestRunConflictingFlags(t *testing.T) {
 	}
 }
 
-// TestRunFactorizedQuick: the -factorized flag must thread through to a
-// completed run (every LP solved on the LU basis).
+// TestRunFactorizedQuick: a quick run solves its LPs on the
+// LU-factorized basis, so the factorization counters the -json report
+// carries must move.
 func TestRunFactorizedQuick(t *testing.T) {
-	if err := run([]string{"-fig", "fig4a", "-quick", "-factorized"}); err != nil {
+	before := obs.Snapshot()
+	if err := run([]string{"-fig", "fig4a", "-quick"}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestRunPricingQuick: every -pricing value must thread through to a
-// completed run; devex rides the factorized basis where its weight
-// updates are sparse solves.
-func TestRunPricingQuick(t *testing.T) {
-	for _, rule := range []string{"dantzig", "devex", "bland"} {
-		args := []string{"-fig", "fig4a", "-quick", "-pricing", rule}
-		if rule == "devex" {
-			args = append(args, "-factorized")
-		}
-		if err := run(args); err != nil {
-			t.Fatalf("run(%v): %v", args, err)
-		}
+	after := obs.Snapshot()
+	if d := after["lp.lu.factors"] - before["lp.lu.factors"]; d < 1 {
+		t.Fatalf("lp.lu.factors moved by %v over a quick run, want >= 1", d)
 	}
 }
 

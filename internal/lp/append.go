@@ -109,10 +109,6 @@ func (w *Basis) grow(p *Problem, mat *csc, opts Options) bool {
 	oldState := append([]int(nil), s.state[:s.n]...)
 	oldBasic := append([]int(nil), s.basic[:m0]...)
 	oldUp := append([]float64(nil), s.up[:s.n]...)
-	var oldBinv []float64
-	if s.lu == nil {
-		oldBinv = append([]float64(nil), s.binv[:m0*m0]...)
-	}
 
 	sign := make([]float64, m1)
 	copy(sign, w.sign[:m0])
@@ -123,7 +119,7 @@ func (w *Basis) grow(p *Problem, mat *csc, opts Options) bool {
 	s.m = m1
 	s.opts = opts.withDefaults(m1, nS1)
 	s.nArt = 0
-	s.csrOK, s.gammaOK, s.betaOK = false, false, false
+	s.csrOK = false
 
 	// Rebuild the working matrix [structural | slacks | artificials]
 	// under the fixed signs, mirroring the cold construction.
@@ -228,32 +224,16 @@ func (w *Basis) grow(p *Problem, mat *csc, opts Options) bool {
 		s.basic[i] = j
 	}
 
-	// Pivot-path storage: re-decide the mode for the new size. On the
-	// factorized path the factors are rebuilt from the basic set by the
-	// caller's ensureLU; on the dense-inverse path the grown inverse is
-	// diag(Binv_old, I) because appended rows meet old basic columns
-	// nowhere.
-	s.buildDense()
-	if s.lu == nil {
-		binv := make([]float64, m1*m1)
-		for i := 0; i < m0; i++ {
-			copy(binv[i*m1:i*m1+m0], oldBinv[i*m0:(i+1)*m0])
-		}
-		for i := m0; i < m1; i++ {
-			binv[i*m1+i] = 1
-		}
-		s.binv = binv
-	}
-
-	// Size-dependent scratch is reallocated lazily, like a cloned handle.
-	s.y, s.w, s.nz, s.rho, s.wNZ = nil, nil, nil, nil, nil
+	// The factors are rebuilt from the grown basic set by the caller's
+	// ensureLU; size-dependent scratch is reallocated lazily, like a
+	// cloned handle.
+	s.lu.ok = false
+	s.y, s.w, s.rho, s.wNZ = nil, nil, nil, nil
 	s.cB, s.cbNZ, s.yNZp, s.rhoNZp = nil, nil, nil, nil
 	s.yDense = false
-	s.gamma, s.beta = nil, nil
 	s.alpha, s.alphaNZ, s.alphaMark = nil, nil, nil
 	s.alphaStamp = 0
 	s.b = growFloats(s.b, m1)
-	s.luFail = false
 
 	w.m, w.nStruct, w.sign = m1, nS1, sign
 	return true

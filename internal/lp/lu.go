@@ -6,7 +6,7 @@ import (
 )
 
 // luBasis is an LU-factorized representation of the simplex basis
-// matrix B, replacing the dense m×m basis inverse for large problems.
+// matrix B; the simplex never forms an explicit inverse.
 //
 // factor computes a sparse triangular decomposition P·B·Q = L·U with a
 // left-looking (Gilbert–Peierls) elimination: columns are processed in
@@ -25,9 +25,9 @@ import (
 // in the opposite order. Both skip structurally zero positions, so a
 // sparse right-hand side costs O(nnz touched), not O(m²).
 //
-// Each basis change is absorbed as a rank-1 product-form update (the
-// eta form of the Forrest–Tomlin family): B_new = B·E with E the
-// identity except column p := the FTRAN direction w, so
+// Each basis change is absorbed as a rank-1 product-form (PFI) update:
+// B_new = B·E with E the identity except column p := the FTRAN
+// direction w, so
 // FTRAN applies E⁻¹ after the factor solve and BTRAN applies E⁻ᵀ
 // before it — O(nnz(w)) each. Updates are refused — forcing a
 // refactorization — when the eta pivot is unstable relative to ‖w‖∞,

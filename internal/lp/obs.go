@@ -17,17 +17,16 @@ var (
 	cCanceled    = obs.NewCounter("lp.canceled", "solves stopped by Options.Ctx cancellation or deadline")
 
 	cLUFactors      = obs.NewCounter("lp.lu.factors", "sparse LU (re)factorizations of the basis matrix")
-	cLUUpdates      = obs.NewCounter("lp.lu.updates", "product-form (Forrest-Tomlin family) rank-1 basis updates applied between refactorizations")
+	cLUUpdates      = obs.NewCounter("lp.lu.updates", "product-form (eta file) rank-1 basis updates applied between refactorizations")
 	cLURefactorStab = obs.NewCounter("lp.lu.refactor_unstable", "refactorizations forced by an unstable eta pivot")
 	cLURefactorFill = obs.NewCounter("lp.lu.refactor_fill", "refactorizations forced by eta-file fill growth or the eta-count cap")
 	cLUFillNNZ      = obs.NewCounter("lp.lu.fill_nnz", "cumulative nonzeros (L+U+diag) across factorizations; divide by lp.lu.factors for mean fill")
 	cLUSingular     = obs.NewCounter("lp.lu.singular", "factorization attempts that found the basis numerically singular")
 
-	cPricingScanned   = obs.NewCounter("lp.pricing.scanned", "candidate columns priced across primal entering scans (all rules)")
-	cPricingResets    = obs.NewCounter("lp.pricing.devex_resets", "devex reference-framework (weight) resets, primal and dual: solve starts, weight drift past the cap, unstable refactorizations, ladder returns")
-	cPricingFallbacks = obs.NewCounter("lp.pricing.fallbacks", "pricing-rule demotions down the fallback ladder devex -> sectional Dantzig -> Bland on degenerate plateaus")
+	cPricingScanned   = obs.NewCounter("lp.pricing.scanned", "candidate columns priced across primal entering scans (Dantzig and Bland)")
+	cPricingFallbacks = obs.NewCounter("lp.pricing.fallbacks", "hand-overs from sectional Dantzig (primal) or most-violated (dual) pricing to Bland's rule on degenerate plateaus")
 
-	cDualColdStarts = obs.NewCounter("lp.pricing.dual_cold_starts", "cold solves that skipped primal phase 1 via a dual-devex cold start (slack basis dual feasible; dual simplex restores primal feasibility)")
+	cDualColdStarts = obs.NewCounter("lp.pricing.dual_cold_starts", "cold solves that skipped primal phase 1 via a dual cold start (slack basis dual feasible; dual simplex restores primal feasibility)")
 	cDualColdBails  = obs.NewCounter("lp.pricing.dual_cold_bails", "dual cold starts that stalled and fell back to classic two-phase primal simplex")
 
 	cWarmAttempts  = obs.NewCounter("lp.warm.attempts", "warm solves attempted from a valid retained basis")

@@ -4,87 +4,17 @@ import (
 	"math"
 	"testing"
 
+	"metis/internal/obs"
 	"metis/internal/stats"
 )
 
-func TestPricingString(t *testing.T) {
-	cases := map[Pricing]string{
-		PricingAuto:    "auto",
-		PricingDantzig: "dantzig",
-		PricingDevex:   "devex",
-		PricingBland:   "bland",
-		Pricing(99):    "invalid",
-	}
-	for pr, want := range cases {
-		if got := pr.String(); got != want {
-			t.Errorf("Pricing(%d).String() = %q, want %q", int(pr), got, want)
-		}
-	}
-}
-
-func TestPricingOptionsValidation(t *testing.T) {
-	p := NewProblem(Maximize)
-	mustVar(t, p, 1, 0, 1, "x")
-
-	if _, err := p.Solve(Options{Pricing: Pricing(99)}); err == nil {
-		t.Fatal("Pricing(99) accepted, want error")
-	}
-	if _, err := p.Solve(Options{Pricing: Pricing(-1)}); err == nil {
-		t.Fatal("Pricing(-1) accepted, want error")
-	}
-	if _, err := p.Solve(Options{PricingSection: -1}); err == nil {
-		t.Fatal("PricingSection -1 accepted, want error")
-	}
-	for _, sec := range []int{0, 1, 7, defaultPricingSection} {
-		sol, err := p.Solve(Options{PricingSection: sec})
-		if err != nil {
-			t.Fatalf("PricingSection %d: %v", sec, err)
-		}
-		if sol.Status != StatusOptimal {
-			t.Fatalf("PricingSection %d: status %v", sec, sol.Status)
-		}
-	}
-}
-
-// TestSolutionPricingResolution: Solution.Pricing must report the
-// resolved rule, never PricingAuto — sectional Dantzig wherever auto
-// lands (the measured default for the SPM LPs; see effectivePricing),
-// and whatever the caller pinned otherwise.
-func TestSolutionPricingResolution(t *testing.T) {
-	build := func() *Problem {
-		return randomBoundedLP(t, stats.NewRNG(7), 6, 10, 0.5)
-	}
-	cases := []struct {
-		name string
-		opts Options
-		want Pricing
-	}{
-		{"auto/dense", Options{Pivot: PivotSparse}, PricingDantzig},
-		{"auto/factorized", Options{Pivot: PivotFactorized}, PricingDantzig},
-		{"pinned-devex/dense", Options{Pivot: PivotSparse, Pricing: PricingDevex}, PricingDevex},
-		{"pinned-dantzig/factorized", Options{Pivot: PivotFactorized, Pricing: PricingDantzig}, PricingDantzig},
-		{"pinned-bland", Options{Pricing: PricingBland}, PricingBland},
-	}
-	for _, c := range cases {
-		sol, err := build().Solve(c.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if sol.Status != StatusOptimal {
-			t.Fatalf("%s: status %v", c.name, sol.Status)
-		}
-		if sol.Pricing != c.want {
-			t.Fatalf("%s: Solution.Pricing = %v, want %v", c.name, sol.Pricing, c.want)
-		}
-	}
-}
-
-// TestPricingRulesAgree sweeps randomized instances across every
-// pricing rule on both basis representations and requires agreement on
-// status and (at optimality) objective within relative 1e-9 of the
-// bit-stable dense Dantzig baseline. Every failure message carries the
-// trial seed; rebuild with randomBoundedLP(stats.NewRNG(seed), m, n,
-// density) to replay.
+// TestPricingRulesAgree sweeps randomized instances and requires the
+// package's pricing — sectional Dantzig with Bland's rule as the
+// anti-cycling floor — to agree with refSolve's pure Bland tableau on
+// status and, at optimality, on the objective within relative 1e-9.
+// Pricing picks the path to the optimum, never the optimum. Every
+// failure message carries the trial seed; rebuild with
+// randomFuzzLP(stats.NewRNG(seed), m, n, density) to replay.
 func TestPricingRulesAgree(t *testing.T) {
 	for trial := 0; trial < 24; trial++ {
 		seed := int64(9300 + trial)
@@ -92,45 +22,26 @@ func TestPricingRulesAgree(t *testing.T) {
 		m := 4 + shape.Intn(16)
 		n := 4 + shape.Intn(32)
 		density := shape.Uniform(0.1, 0.9)
+		fz := randomFuzzLP(stats.NewRNG(seed), m, n, density)
 
-		base, err := randomBoundedLP(t, stats.NewRNG(seed), m, n, density).
-			Solve(Options{Pivot: PivotSparse, Pricing: PricingDantzig})
+		sol, err := fz.build(t).Solve(Options{})
 		if err != nil {
-			t.Fatalf("seed %d baseline: %v", seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if base.Status != StatusOptimal {
-			t.Fatalf("seed %d baseline status %v", seed, base.Status)
+		refStatus, refObj := refSolve(fz)
+		if sol.Status != StatusOptimal || refStatus != refOptimal {
+			t.Fatalf("seed %d (m=%d n=%d ρ=%.2f): status %v, reference %v; want both optimal",
+				seed, m, n, density, sol.Status, refStatus)
 		}
-		tol := 1e-9 * (1 + math.Abs(base.Objective))
-		for _, pv := range []struct {
-			name  string
-			pivot PivotMode
-		}{{"dense", PivotSparse}, {"factorized", PivotFactorized}} {
-			for _, pr := range []Pricing{PricingAuto, PricingDantzig, PricingDevex, PricingBland} {
-				sol, err := randomBoundedLP(t, stats.NewRNG(seed), m, n, density).
-					Solve(Options{Pivot: pv.pivot, Pricing: pr})
-				if err != nil {
-					t.Fatalf("seed %d (m=%d n=%d ρ=%.2f) %s/%v: %v", seed, m, n, density, pv.name, pr, err)
-				}
-				if sol.Status != StatusOptimal {
-					t.Fatalf("seed %d (m=%d n=%d ρ=%.2f) %s/%v: status %v, want optimal",
-						seed, m, n, density, pv.name, pr, sol.Status)
-				}
-				if math.Abs(sol.Objective-base.Objective) > tol {
-					t.Fatalf("seed %d (m=%d n=%d ρ=%.2f) %s/%v: objective %.15g != baseline %.15g (Δ=%g)",
-						seed, m, n, density, pv.name, pr, sol.Objective, base.Objective,
-						sol.Objective-base.Objective)
-				}
-			}
+		if tol := 1e-9 * (1 + math.Abs(refObj)); math.Abs(sol.Objective-refObj) > tol {
+			t.Fatalf("seed %d (m=%d n=%d ρ=%.2f): objective %.15g != reference %.15g (Δ=%g)",
+				seed, m, n, density, sol.Objective, refObj, sol.Objective-refObj)
 		}
 	}
 }
 
 // bealeProblem is the classic cycling-prone instance (Beale); its
-// optimum is -0.05 in Minimize sense. TestDegenerateLP covers the
-// default rule; here every configured rung must also terminate on it —
-// devex and Dantzig via the fallback ladder into Bland, and Bland
-// outright.
+// optimum is -0.05 in Minimize sense.
 func bealeProblem(t *testing.T) *Problem {
 	t.Helper()
 	p := NewProblem(Minimize)
@@ -153,22 +64,75 @@ func bealeProblem(t *testing.T) *Problem {
 	return p
 }
 
-func TestCyclingInstanceAllPricings(t *testing.T) {
-	for _, pv := range []struct {
-		name  string
-		pivot PivotMode
-	}{{"dense", PivotSparse}, {"factorized", PivotFactorized}} {
-		for _, pr := range []Pricing{PricingDantzig, PricingDevex, PricingBland} {
-			sol, err := bealeProblem(t).Solve(Options{Pivot: pv.pivot, Pricing: pr})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", pv.name, pr, err)
-			}
-			if sol.Status != StatusOptimal {
-				t.Fatalf("%s/%v: status %v, want optimal", pv.name, pr, sol.Status)
-			}
-			if math.Abs(sol.Objective-(-0.05)) > 1e-6 {
-				t.Fatalf("%s/%v: objective %v, want -0.05", pv.name, pr, sol.Objective)
+// TestCyclingInstanceBeale: the default solve terminates on Beale's
+// instance at its optimum.
+func TestCyclingInstanceBeale(t *testing.T) {
+	sol, err := bealeProblem(t).Solve(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Status != StatusOptimal {
+		t.Fatalf("status %v, want optimal", sol.Status)
+	}
+	if math.Abs(sol.Objective-(-0.05)) > 1e-6 {
+		t.Fatalf("objective %v, want -0.05", sol.Objective)
+	}
+}
+
+// degenerateConeLP is a zero-rhs, maximally degenerate LP: maximize
+// Σ(1+u_j)·x_j over x ∈ [0,1]ⁿ subject to m rows Σ ±x_j ≤ 0, each sign
+// drawn with probability density. Every basis at the origin is
+// degenerate, so Dantzig pricing walks a long zero-step plateau.
+func degenerateConeLP(rng *stats.RNG, m, n int, density float64) fuzzLP {
+	fz := fuzzLP{sense: Maximize}
+	for j := 0; j < n; j++ {
+		fz.obj = append(fz.obj, 1+rng.Float64())
+		fz.hi = append(fz.hi, 1)
+	}
+	for i := 0; i < m; i++ {
+		row := make([]float64, n)
+		for j := range row {
+			if rng.Float64() < density {
+				row[j] = 1
+				if rng.Float64() < 0.5 {
+					row[j] = -1
+				}
 			}
 		}
+		fz.rows = append(fz.rows, row)
+		fz.rels = append(fz.rels, LE)
+		fz.rhs = append(fz.rhs, 0)
 	}
+	return fz
+}
+
+// TestBlandFallbackLadder drives the primal simplex into a degenerate
+// plateau long enough that sectional Dantzig hands over to Bland's
+// rule — the anti-cycling floor no option selects — and requires the
+// ladder to fire (lp.pricing.fallbacks) and the solve to still end at
+// refSolve's optimum. On this instance the cone admits only x = 0, so
+// the optimum is 0, reached after about 300 iterations with one
+// hand-over to Bland.
+func TestBlandFallbackLadder(t *testing.T) {
+	fz := degenerateConeLP(stats.NewRNG(3), 40, 40, 0.3)
+	snap := obs.Snapshot()
+	sol, err := fz.build(t).Solve(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := delta(snap, "lp.pricing.fallbacks")
+	if d["lp.pricing.fallbacks"] < 1 {
+		t.Fatalf("lp.pricing.fallbacks moved by %v, want >= 1 (the Bland rung never ran)", d["lp.pricing.fallbacks"])
+	}
+	if sol.Status != StatusOptimal {
+		t.Fatalf("status %v, want optimal", sol.Status)
+	}
+	refStatus, refObj := refSolve(fz)
+	if refStatus != refOptimal {
+		t.Fatalf("reference status %v, want optimal", refStatus)
+	}
+	if math.Abs(sol.Objective-refObj) > 1e-6 {
+		t.Fatalf("objective %.12g != reference %.12g (iters %d)", sol.Objective, refObj, sol.Iters)
+	}
+	t.Logf("objective %g in %d iterations", sol.Objective, sol.Iters)
 }

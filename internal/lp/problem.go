@@ -1,11 +1,12 @@
 // Package lp implements a pure-Go linear-programming solver: a two-phase
-// revised primal simplex with bounded variables and a dense basis
-// inverse. It replaces the Gurobi LP calls of the paper's evaluation.
+// revised primal simplex with bounded variables (plus a dual simplex for
+// cold starts and warm repairs) over a sparse LU-factorized basis. It
+// replaces the Gurobi LP calls of the paper's evaluation.
 //
 // The solver targets the problem shapes that arise in SPM — hundreds to
-// a few thousand rows/columns with very sparse constraint matrices — and
-// stores columns sparsely so pricing and pivoting cost is proportional
-// to the number of nonzeros.
+// tens of thousands of rows/columns with very sparse constraint
+// matrices — and stores columns and factors sparsely so pricing and
+// pivoting cost is proportional to the number of nonzeros.
 package lp
 
 import (
@@ -46,11 +47,11 @@ const (
 	// deadline passed) before the solve finished. The Solution carries no
 	// X; a warm-start Basis interrupted mid-repair stays usable.
 	StatusCanceled
-	// StatusNumeric reports that the factorized basis path broke down
-	// numerically (singular or unstable LU refactorization) and the
-	// problem was too large to retry against the dense fallback. The
-	// Solution carries no X. Rare in practice: the solver retries small
-	// problems densely and refactorizes before giving up.
+	// StatusNumeric reports that a cold solve's LU-factorized basis went
+	// numerically singular on refactorization. The Solution carries no
+	// X. Rare in practice: unstable product-form updates are refused and
+	// the basis refactored fresh long before it can degrade that far,
+	// and a warm solve that breaks down falls back to a cold one first.
 	StatusNumeric
 )
 
@@ -314,14 +315,4 @@ type Solution struct {
 	// always false otherwise. Consumers that need the exact vertex a cold
 	// solve would pick must re-solve cold when this is set.
 	Degenerate bool
-	// Factorized reports whether the solve ran against the sparse
-	// LU-factorized basis (PivotFactorized, or PivotAuto on a large
-	// problem) rather than a dense basis inverse.
-	Factorized bool
-	// Pricing is the resolved primal pricing rule the solve ran under
-	// (never PricingAuto): PricingDevex on factorized solves by default,
-	// PricingDantzig on the dense-inverse oracle paths, or whatever the
-	// caller pinned. Degenerate plateaus may demote the rule mid-solve
-	// (see Options.Pricing); this field reports the configured rung.
-	Pricing Pricing
 }

@@ -11,67 +11,15 @@ import (
 	"metis/internal/obs"
 )
 
-// PivotMode selects how the simplex stores and prices columns.
-type PivotMode int
-
-// Pivot modes.
-const (
-	// PivotAuto picks PivotDense when the working matrix is dense
-	// enough for contiguous dense columns to beat index chasing, and
-	// PivotSparse otherwise (the common case for the path-formulation
-	// LPs, whose columns hold a handful of nonzeros).
-	PivotAuto PivotMode = iota
-	// PivotSparse walks per-column CSC nonzero lists in pricing and in
-	// the direction solve.
-	PivotSparse
-	// PivotDense scans contiguous dense columns. Only sensible when
-	// most coefficients are nonzero; kept as the fallback for dense
-	// inputs.
-	PivotDense
-	// PivotFactorized represents the basis as a sparse LU factorization
-	// with product-form updates instead of a dense m×m inverse: FTRAN/
-	// BTRAN triangular solves replace the O(m²) inverse maintenance, and
-	// per-pivot cost drops to the factor's nonzero count. This is the
-	// only mode whose memory is O(nnz) rather than O(m²), so it is what
-	// makes K=10000-scale instances (m ≈ 10⁴ rows) tractable. PivotAuto
-	// selects it for any problem with at least luAutoRows rows. The
-	// dense-inverse modes are retained as the differential oracle: both
-	// representations must agree on status and objective within
-	// tolerance on every instance (see the parity and fuzz tests).
-	PivotFactorized
-)
-
-// denseDensityThreshold is the nonzero fraction above which PivotAuto
-// switches to dense columns.
-const denseDensityThreshold = 0.4
-
-// maxDenseCells caps the dense-path working matrix (n·m cells) so huge
-// sparse problems can never be blown up into dense storage by accident.
-const maxDenseCells = 1 << 22
-
-// luAutoRows is the row count at which PivotAuto switches from the
-// dense basis inverse to the LU-factorized basis. Below it the m×m
-// inverse fits comfortably in cache and its branch-free row operations
-// win; above it the O(m²) per-pivot cost (and O(m²) memory) loses to
-// sparse triangular solves.
-const luAutoRows = 128
-
-// maxFallbackBinvCells caps the dense-inverse retry after a factorized
-// numeric failure: beyond this, allocating the m×m inverse would be
-// worse than the failure, so the retry re-runs factorized instead.
-const maxFallbackBinvCells = 1 << 24
-
-// defaultPricingSection is the default sectional-pricing window: the
-// number of candidate columns priced per section before the best
-// improving one (if any) is taken. Lists at most this long get a plain
-// full scan. Tunable via Options.PricingSection.
-const defaultPricingSection = 1024
+// pricingSection is the sectional-pricing window: the number of
+// candidate columns priced per section before the best improving one
+// (if any) enters. Lists at most this long get a plain full scan.
+const pricingSection = 1024
 
 // statusNumeric is an internal sentinel: the LU-factorized basis went
 // numerically singular mid-solve. It never escapes the package —
-// solveCold retries on the dense-inverse path and solveWarm converts it
-// to a cold fallback; only when every fallback fails does a solve
-// surface StatusNumeric.
+// solveWarm converts it to a cold fallback and solveCold to
+// StatusNumeric.
 const statusNumeric Status = -1
 
 // Options tunes the simplex solver.
@@ -81,27 +29,6 @@ type Options struct {
 	// MaxIters bounds total simplex iterations across both phases
 	// (default 200 + 40·(rows+cols)).
 	MaxIters int
-	// Pivot selects sparse or dense column handling (default
-	// PivotAuto). Both paths compute identical floating-point results;
-	// the switch is purely a storage/speed trade.
-	Pivot PivotMode
-	// Pricing selects the entering-column rule of the primal simplex
-	// and the leaving-row rule of the warm dual repair (default
-	// PricingAuto, which resolves to sectional Dantzig — the measured
-	// winner on the well-scaled path-formulation LPs; devex is the
-	// opt-in for badly scaled inputs). Every rule reaches the same
-	// optimum;
-	// degenerate plateaus demote down the ladder devex → Dantzig →
-	// Bland, so the anti-cycling guarantee holds under any setting.
-	// Invalid values are rejected by Solve.
-	Pricing Pricing
-	// PricingSection is the sectional-pricing window: how many
-	// candidate columns are priced per section before the best
-	// improving one found (if any) enters. 0 means the default (1024);
-	// explicit values must be >= 1 or Solve rejects them. Larger
-	// sections pick steeper columns per pivot at more pricing work per
-	// iteration; section size and pricing rule are tuned together.
-	PricingSection int
 	// Warm is an optional warm-start handle. When non-nil, Solve first
 	// tries to repair the handle's retained basis with bounded-variable
 	// dual simplex (or a primal cleanup) instead of running two-phase
@@ -118,7 +45,7 @@ type Options struct {
 	// reads, no allocations.
 	Tracer obs.Tracer
 	// Ctx, when non-nil, makes the solve cancellable: the simplex loops
-	// poll ctx.Err() every 256 iterations and stop with StatusCanceled
+	// poll ctx.Err() every 32 iterations and stop with StatusCanceled
 	// when it fires. A nil Ctx (the default) skips the polls entirely, so
 	// existing call sites behave bit-identically.
 	Ctx context.Context
@@ -130,9 +57,6 @@ func (o Options) withDefaults(m, n int) Options {
 	}
 	if o.MaxIters <= 0 {
 		o.MaxIters = 200 + 40*(m+n)
-	}
-	if o.PricingSection == 0 {
-		o.PricingSection = defaultPricingSection
 	}
 	return o
 }
@@ -148,19 +72,16 @@ const (
 //
 //	min cost·x   s.t.  A x = b,  0 <= x_j <= up_j
 //
-// with columns stored in flat CSC arrays (optionally mirrored densely)
-// and a dense basis inverse in one contiguous row-major block.
+// with columns stored in flat CSC arrays and the basis held as a sparse
+// LU factorization with product-form updates.
 type simplex struct {
 	m, n int // rows, total columns (structural + slack + artificial)
 
 	// Working matrix, CSC: column j is rowIdx/vals[colPtr[j]:colPtr[j+1]],
-	// row-sorted. Always present.
+	// row-sorted.
 	colPtr []int32
 	rowIdx []int32
 	vals   []float64
-	// dense mirrors the matrix column-major (column j at [j·m, (j+1)·m))
-	// when the dense pivot path is selected; nil otherwise.
-	dense []float64
 
 	b    []float64 // rhs (>= 0 after normalization)
 	cost []float64 // phase-2 costs
@@ -172,16 +93,10 @@ type simplex struct {
 	state []int     // per column: atLower / atUpper / isBasic
 	basic []int     // per row: basic column
 	xB    []float64 // basic variable values
-	// Basis representation: exactly one of the two is active. binv is
-	// the dense m×m row-major basis inverse (PivotSparse/PivotDense);
-	// lu is the sparse LU factorization with product-form updates
-	// (PivotFactorized). All basis operations dispatch on lu != nil.
-	binv []float64
-	lu   *luBasis
-	// luFail records a numerically singular (re)factorization; the
-	// solve-level paths translate it into a dense-inverse or cold
-	// fallback.
-	luFail bool
+	// lu factors the basis matrix; FTRAN/BTRAN triangular solves replace
+	// an explicit inverse, so per-pivot cost and memory follow the
+	// factor's nonzero count rather than m².
+	lu *luBasis
 
 	opts  Options
 	iters int
@@ -189,18 +104,16 @@ type simplex struct {
 	// scratch buffers reused across iterations.
 	y   []float64
 	w   []float64
-	nz  []int32
-	rho []float64 // dual-simplex pivot row scratch (factorized mode)
-	// wNZ is the nonzero pattern of the direction w in factorized mode:
-	// ftranSparse returns it, the ratio test / basic-value update /
-	// eta append iterate it, and the next direction solve clears w
-	// through it. Meaningless (and unused) on the dense paths.
+	rho []float64 // dual-simplex pivot row scratch
+	// wNZ is the nonzero pattern of the direction w: ftranSparse returns
+	// it, the ratio test / basic-value update / eta append iterate it,
+	// and the next direction solve clears w through it.
 	wNZ []int32
-	// Sparse-BTRAN buffers (factorized mode): cB gathers the basic cost
-	// vector and is all-zero between uses (computeDuals re-zeroes the
-	// cbNZ pattern after each solve); yNZp / rhoNZp are the output
-	// patterns of the previous dual / pivot-row BTRANs, cleared before
-	// the buffers are refilled.
+	// Sparse-BTRAN buffers: cB gathers the basic cost vector and is
+	// all-zero between uses (computeDuals re-zeroes the cbNZ pattern
+	// after each solve); yNZp / rhoNZp are the output patterns of the
+	// previous dual / pivot-row BTRANs, cleared before the buffers are
+	// refilled.
 	cB     []float64
 	cbNZ   []int32
 	yNZp   []int32
@@ -220,19 +133,9 @@ type simplex struct {
 	slackNB []int
 	signBuf []float64
 
-	// Devex pricing state (pricing.go). gamma/beta are the primal
-	// (per-column) and dual (per-row) reference-framework weights;
-	// the OK flags are cleared at solve start, on weight drift and on
-	// unstable refactorizations, and the rules re-seed unit frameworks
-	// when they next run. rowPtr/colInd/rVals mirror the working matrix
-	// row-major (CSR) for the pivot-row gather; alpha* is the stamped
-	// pivot-row accumulator.
-	gamma      []float64
-	gammaRef   []bool
-	gammaBad   int
-	beta       []float64
-	gammaOK    bool
-	betaOK     bool
+	// Pivot-row gather state (gatherPivotRow): rowPtr/colInd/rVals mirror
+	// the working matrix row-major (CSR); alpha* is the stamped pivot-row
+	// accumulator.
 	rowPtr     []int32
 	colInd     []int32
 	rVals      []float64
@@ -241,18 +144,14 @@ type simplex struct {
 	alphaNZ    []int32
 	alphaMark  []int32
 	alphaStamp int32
-	// pricedBy records the primal rule the last iterate resolved to
-	// (surfaced as Solution.Pricing). refactored/unstableRefactor are
-	// set by the LU refactorization paths so the devex loops refresh
-	// incremental duals and reset drifting weight frameworks.
-	pricedBy         Pricing
-	refactored       bool
-	unstableRefactor bool
+	// refactored is set by refactorLU so the dual repair refreshes its
+	// incrementally updated duals against the fresh factors.
+	refactored bool
 }
 
-// simplexPool recycles simplex working arrays across cold solves. The
-// arrays of one K=100 RL-SPM solve run to megabytes (Binv alone is m²
-// floats), and Metis performs thousands of cold solves per run, so
+// simplexPool recycles simplex working arrays across cold solves. Every
+// solve needs a working matrix, factors and scratch sized to the
+// problem, and Metis performs thousands of cold solves per run, so
 // reuse removes a large slice of allocation and GC cost. A simplex that
 // was captured into a warm-start Basis must never be released: the
 // handle keeps using its arrays.
@@ -299,26 +198,12 @@ func growInt32s(buf []int32, n, c int) []int32 {
 	return make([]int32, n, c)
 }
 
-// growBools is growFloats for bool slices.
-func growBools(buf []bool, n int) []bool {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]bool, n)
-}
-
 // Solve optimizes the problem. It returns a Solution whose Status is
 // StatusOptimal, StatusInfeasible, StatusUnbounded or StatusIterLimit;
 // X is populated only for StatusOptimal.
 func (p *Problem) Solve(opts Options) (*Solution, error) {
 	if p.sense != Minimize && p.sense != Maximize {
 		return nil, fmt.Errorf("lp: invalid sense %d", p.sense)
-	}
-	if opts.Pricing < PricingAuto || opts.Pricing > PricingBland {
-		return nil, fmt.Errorf("lp: invalid pricing rule %d", opts.Pricing)
-	}
-	if opts.PricingSection < 0 {
-		return nil, fmt.Errorf("lp: invalid pricing section %d (must be >= 1; 0 selects the default)", opts.PricingSection)
 	}
 	var t0 time.Time
 	if opts.Tracer != nil {
@@ -355,61 +240,30 @@ func (p *Problem) Solve(opts Options) (*Solution, error) {
 	if sol.Status == StatusCanceled {
 		cCanceled.Inc()
 	}
-	if sol.Pricing == PricingAuto {
-		// Solutions that never reached extract (infeasible, canceled,
-		// iteration limit) still report the rule the solve resolved to.
-		factorized := opts.Pivot == PivotFactorized ||
-			(opts.Pivot == PivotAuto && len(p.rel) >= luAutoRows)
-		sol.Pricing = opts.effectivePricing(factorized && len(p.rel) > 0)
-	}
 	if opts.Tracer != nil {
 		obs.Span(opts.Tracer, "lp.solve", t0, obs.Fields{
-			"m":       len(p.rel),
-			"n":       len(p.obj),
-			"iters":   sol.Iters,
-			"status":  sol.Status.String(),
-			"warm":    outcome.String(),
-			"pricing": sol.Pricing.String(),
+			"m":      len(p.rel),
+			"n":      len(p.obj),
+			"iters":  sol.Iters,
+			"status": sol.Status.String(),
+			"warm":   outcome.String(),
 		})
 	}
 	return sol, nil
 }
 
-// solveCold runs two-phase primal simplex from the all-slack basis,
-// retrying on the dense-inverse path if the factorized basis goes
-// numerically singular (a nil return from the attempt).
+// solveCold runs two-phase primal simplex from the all-slack basis (or,
+// when the slack basis is dual feasible, a dual cold start). A basis
+// that goes numerically singular ends the solve with StatusNumeric.
 func (p *Problem) solveCold(opts Options) *Solution {
-	sol := p.solveColdAttempt(opts)
-	if sol != nil {
-		return sol
-	}
-	// Factorized numeric failure. Small problems rerun on the dense
-	// inverse, which cannot go singular mid-pivot; a retry would replay
-	// the identical pivot sequence on a problem too big for an m×m
-	// inverse, so that case surfaces StatusNumeric instead.
-	cLUSingular.Inc()
-	if m := len(p.rel); m*m <= maxFallbackBinvCells {
-		opts.Pivot = PivotSparse
-		sol = p.solveColdAttempt(opts)
-	}
-	if sol == nil {
-		sol = &Solution{Status: StatusNumeric}
-	}
-	return sol
-}
-
-// solveColdAttempt is one cold solve; it returns nil when the
-// LU-factorized basis went numerically singular and the caller should
-// retry on another path.
-func (p *Problem) solveColdAttempt(opts Options) *Solution {
 	nStruct := len(p.obj)
 	m := len(p.rel)
 	s := simplexPool.Get().(*simplex)
 	s.m, s.opts = m, opts.withDefaults(m, nStruct)
-	s.nArt, s.iters, s.luFail = 0, 0, false
+	s.nArt, s.iters = 0, 0
 	// The working matrix is rebuilt below, so any pooled CSR mirror is
-	// stale; devex weight frameworks always start fresh per solve.
-	s.csrOK, s.gammaOK, s.betaOK = false, false, false
+	// stale.
+	s.csrOK = false
 	mat := p.matrixCSC()
 
 	// Shift structural variables to lower bound 0 and compute the
@@ -505,23 +359,17 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 		s.nArt++
 	}
 	s.n = len(s.cost)
-	s.buildDense()
+	if s.lu == nil {
+		s.lu = new(luBasis)
+	}
 
 	// Initial basis: +1 slacks and artificials, everything else at lower.
 	s.state = growInts(s.state, s.n)
 	clear(s.state) // atLower == 0
 	s.basic = growInts(s.basic, m)
 	s.xB = growFloats(s.xB, m)
-	if s.lu == nil {
-		s.binv = growFloats(s.binv, m*m)
-		clear(s.binv)
-		for i := 0; i < m; i++ {
-			s.binv[i*m+i] = 1
-		}
-	}
 	s.y = growFloats(s.y, m)
 	s.w = growFloats(s.w, m)
-	s.nz = growInt32s(s.nz, 0, m)
 	art := s.artStart
 	for i := 0; i < m; i++ {
 		j := slackBasic[i]
@@ -533,13 +381,10 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 		s.state[j] = isBasic
 		s.xB[i] = s.b[i]
 	}
-	if s.lu != nil && !s.refactorLU() {
+	if !s.refactorLU() {
 		// The initial basis is a +1 diagonal; a singular factorization
-		// here means scratch corruption, not bad data — bail to the
-		// dense-inverse retry rather than guessing.
-		opts.Warm.invalidate()
-		s.release()
-		return nil
+		// here means scratch corruption, not bad data.
+		return s.abandon(opts.Warm, statusNumeric)
 	}
 
 	// Dual cold start. At y = 0 every nonbasic column prices out at its
@@ -548,21 +393,17 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 	// columns to their upper bound and every reduced cost has the
 	// optimal sign. Locking the artificials at zero then turns phase 1
 	// on its head: instead of minimizing Σ artificials with primal
-	// pivots, the dual-devex repair drives the now out-of-bounds
+	// pivots, the dual simplex repair drives the now out-of-bounds
 	// artificial rows back inside while KEEPING dual feasibility, and
 	// the basis it lands on is primal and dual feasible at once —
 	// optimal, modulo the certification scan below. On the SPM path LPs
 	// this replaces the largest iteration block of a cold solve (all of
 	// phase 1 and most of phase 2) with about one dual pivot per
-	// equality row. Gated to the factorized basis and the devex/Dantzig
-	// pricing rungs (the repair's row rule follows the configured
-	// pricing: devex row weights or plain most-violated); explicit
-	// Bland keeps PR 6 cold-solve semantics as the all-primal baseline
-	// and its termination reproducers. A stalled repair restores the
-	// pristine start and falls back to classic two-phase.
+	// equality row. A stalled repair restores the pristine start and
+	// falls back to classic two-phase.
 	p1 := 0
 	dualStart := false
-	if s.nArt > 0 && s.lu != nil && s.opts.effectivePricing(true) != PricingBland {
+	if s.nArt > 0 {
 		eligible := true
 		for j := 0; j < s.artStart; j++ {
 			if s.cost[j] < 0 && math.IsInf(s.up[j], 1) {
@@ -591,17 +432,11 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 				s.refreshXB()
 				dualStart = s.primalFeasible()
 			case dualInfeasible:
-				iters := s.iters
-				cPhase1Iters.Add(int64(iters))
-				opts.Warm.invalidate()
-				s.release()
-				return &Solution{Status: StatusInfeasible, Iters: iters}
+				cPhase1Iters.Add(int64(s.iters))
+				return s.abandon(opts.Warm, StatusInfeasible)
 			case dualCanceled:
-				iters := s.iters
-				cPhase1Iters.Add(int64(iters))
-				opts.Warm.invalidate()
-				s.release()
-				return &Solution{Status: StatusCanceled, Iters: iters}
+				cPhase1Iters.Add(int64(s.iters))
+				return s.abandon(opts.Warm, StatusCanceled)
 			default: // dualStalled
 				dualStart = false
 			}
@@ -629,9 +464,7 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 					s.xB[i] = s.b[i]
 				}
 				if !s.refactorLU() {
-					opts.Warm.invalidate()
-					s.release()
-					return nil
+					return s.abandon(opts.Warm, statusNumeric)
 				}
 			}
 		}
@@ -646,25 +479,13 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 			phase1[j] = 1
 		}
 		st := s.iterate(phase1)
-		if st == statusNumeric {
+		if st == statusNumeric || st == StatusIterLimit || st == StatusCanceled {
 			cPhase1Iters.Add(int64(s.iters))
-			opts.Warm.invalidate()
-			s.release()
-			return nil
-		}
-		if st == StatusIterLimit || st == StatusCanceled {
-			iters := s.iters
-			cPhase1Iters.Add(int64(iters))
-			opts.Warm.invalidate()
-			s.release()
-			return &Solution{Status: st, Iters: iters}
+			return s.abandon(opts.Warm, st)
 		}
 		if s.objective(phase1) > s.opts.Tol*(1+norm1(s.b)) {
-			iters := s.iters
-			cPhase1Iters.Add(int64(iters))
-			opts.Warm.invalidate()
-			s.release()
-			return &Solution{Status: StatusInfeasible, Iters: iters}
+			cPhase1Iters.Add(int64(s.iters))
+			return s.abandon(opts.Warm, StatusInfeasible)
 		}
 		p1 = s.iters
 		cPhase1Iters.Add(int64(p1))
@@ -681,15 +502,8 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 	st := s.iterate(s.cost)
 	cPhase2Iters.Add(int64(s.iters - p1))
 	switch st {
-	case statusNumeric:
-		opts.Warm.invalidate()
-		s.release()
-		return nil
-	case StatusIterLimit, StatusUnbounded, StatusCanceled:
-		iters := s.iters
-		opts.Warm.invalidate()
-		s.release()
-		return &Solution{Status: st, Iters: iters}
+	case statusNumeric, StatusIterLimit, StatusUnbounded, StatusCanceled:
+		return s.abandon(opts.Warm, st)
 	}
 
 	s.refreshXB()
@@ -704,17 +518,29 @@ func (p *Problem) solveColdAttempt(opts Options) *Solution {
 	return sol
 }
 
+// abandon ends a cold solve that produced no optimal basis: the warm
+// handle (if any) is invalidated, s goes back to the pool, and the
+// internal numeric sentinel surfaces as StatusNumeric.
+func (s *simplex) abandon(w *Basis, st Status) *Solution {
+	iters := s.iters
+	w.invalidate()
+	s.release()
+	if st == statusNumeric {
+		cLUSingular.Inc()
+		st = StatusNumeric
+	}
+	return &Solution{Status: st, Iters: iters}
+}
+
 // extract decodes the optimal working basis into a Solution: structural
 // values shifted back by the lower bounds, the objective in the original
-// sense, and shadow prices y = c_B^T·Binv mapped back through the row
+// sense, and shadow prices y = c_B^T·B⁻¹ mapped back through the row
 // signs (and the sense flip for Maximize).
 func (p *Problem) extract(s *simplex, sign []float64, shiftObj float64) *Solution {
 	nStruct := len(p.obj)
 	m := s.m
-	// Structural values: seed basic entries from the basis map (one pass
-	// instead of an O(m) scan per basic column), then shift and sum. The
-	// per-column values and the objective's accumulation order match
-	// value()-based extraction exactly.
+	// Structural values: seed basic entries from the basis map, then
+	// shift and sum.
 	x := make([]float64, nStruct)
 	for i, j := range s.basic {
 		if j < nStruct {
@@ -734,30 +560,13 @@ func (p *Problem) extract(s *simplex, sign []float64, shiftObj float64) *Solutio
 		obj = -obj
 	}
 
-	// Duals y = c_B^T·B⁻¹: one BTRAN against the factors, or accumulated
-	// row-major over Binv (each duals[i] receives the same terms in the
-	// same ascending-row order as the column-wise loop, so the result is
-	// bit-identical, but Binv streams in storage order instead of
-	// striding down columns).
+	// Duals y = c_B^T·B⁻¹: one BTRAN against the factors.
 	duals := make([]float64, m)
-	if s.lu != nil {
-		c := s.lu.posBuf
-		for i, j := range s.basic {
-			c[i] = s.cost[j]
-		}
-		s.lu.btran(c, duals)
-	} else {
-		for r, j := range s.basic {
-			cj := s.cost[j]
-			if cj == 0 {
-				continue
-			}
-			row := s.binv[r*m : r*m+m]
-			for i, bv := range row {
-				duals[i] += cj * bv
-			}
-		}
+	c := s.lu.posBuf
+	for i, j := range s.basic {
+		c[i] = s.cost[j]
 	}
+	s.lu.btran(c, duals)
 	for i := 0; i < m; i++ {
 		y := duals[i] * sign[i]
 		if p.sense == Maximize {
@@ -765,49 +574,7 @@ func (p *Problem) extract(s *simplex, sign []float64, shiftObj float64) *Solutio
 		}
 		duals[i] = y
 	}
-	return &Solution{Status: StatusOptimal, Objective: obj, X: x, Duals: duals, Iters: s.iters, Factorized: s.lu != nil, Pricing: s.pricedBy}
-}
-
-// buildDense decides the pivot path and, for the dense path, mirrors
-// the working matrix into contiguous column-major storage. The dense
-// and sparse paths visit each column's nonzeros in the same row order,
-// so they produce bit-identical pivot sequences; the factorized path
-// follows the same pricing rules but its own (LU-driven) arithmetic.
-func (s *simplex) buildDense() {
-	mode := s.opts.Pivot
-	if mode == PivotAuto {
-		cells := s.m * s.n
-		switch {
-		case s.m >= luAutoRows:
-			mode = PivotFactorized
-		case cells > 0 && cells <= maxDenseCells &&
-			float64(len(s.vals)) > denseDensityThreshold*float64(cells):
-			mode = PivotDense
-		default:
-			mode = PivotSparse
-		}
-	}
-	if mode == PivotFactorized && s.m > 0 {
-		s.dense = nil
-		if s.lu == nil {
-			s.lu = new(luBasis)
-		}
-		s.lu.ok = false // factored once the initial basis is installed
-		return
-	}
-	s.lu = nil
-	if mode != PivotDense || s.m == 0 {
-		s.dense = nil // drop any pooled mirror from a previous dense solve
-		return
-	}
-	s.dense = growFloats(s.dense, s.n*s.m)
-	clear(s.dense)
-	for j := 0; j < s.n; j++ {
-		col := s.dense[j*s.m : (j+1)*s.m]
-		for q := s.colPtr[j]; q < s.colPtr[j+1]; q++ {
-			col[s.rowIdx[q]] = s.vals[q]
-		}
-	}
+	return &Solution{Status: StatusOptimal, Objective: obj, X: x, Duals: duals, Iters: s.iters}
 }
 
 // objCoef returns the internal (minimization) objective coefficient.
@@ -816,23 +583,6 @@ func (p *Problem) objCoef(j int) float64 {
 		return -p.obj[j]
 	}
 	return p.obj[j]
-}
-
-// value returns the current value of column j (in shifted coordinates).
-func (s *simplex) value(j int) float64 {
-	switch s.state[j] {
-	case isBasic:
-		for i, bj := range s.basic {
-			if bj == j {
-				return s.xB[i]
-			}
-		}
-		return 0
-	case atUpper:
-		return s.up[j]
-	default:
-		return 0
-	}
 }
 
 func (s *simplex) objective(cost []float64) float64 {
@@ -849,8 +599,8 @@ func (s *simplex) objective(cost []float64) float64 {
 }
 
 // refreshXB recomputes basic values from scratch to shed accumulated
-// floating-point drift: xB = B⁻¹·(b − Σ_{j at upper} A_j·up_j), by
-// FTRAN against the factors or a dense multiply against Binv.
+// floating-point drift: xB = B⁻¹·(b − Σ_{j at upper} A_j·up_j), by one
+// FTRAN against the factors.
 func (s *simplex) refreshXB() {
 	m := s.m
 	// s.w is free here — refreshXB only runs between iterate/dualIterate
@@ -869,115 +619,102 @@ func (s *simplex) refreshXB() {
 			}
 		}
 	}
-	if s.lu != nil {
-		s.lu.ftran(rhs, s.xB)
-		for i, v := range s.xB {
-			if v < 0 && v > -s.opts.Tol {
-				s.xB[i] = 0
-			}
-		}
-		return
-	}
-	for i := 0; i < m; i++ {
-		var v float64
-		row := s.binv[i*m : i*m+m]
-		for r, bv := range row {
-			v += bv * rhs[r]
-		}
+	s.lu.ftran(rhs, s.xB)
+	for i, v := range s.xB {
 		if v < 0 && v > -s.opts.Tol {
-			v = 0
+			s.xB[i] = 0
 		}
-		s.xB[i] = v
 	}
 }
 
-// ensureLU (re)factors the basis when the factorized representation is
-// active but stale — a cloned handle, or after an update was refused.
-// It reports false (and sets luFail) on a numerically singular basis.
+// ensureLU (re)factors the basis when the factors are stale — a cloned
+// or grown handle, or after an update was refused. It reports false on
+// a numerically singular basis.
 func (s *simplex) ensureLU() bool {
-	if s.lu == nil || s.lu.ok {
+	if s.lu.ok {
 		return true
 	}
 	return s.refactorLU()
 }
 
 // refactorLU factors the current basis from scratch and records the
-// factor-size counters. False means singular; s.luFail is set.
+// factor-size counters. False means singular.
 func (s *simplex) refactorLU() bool {
 	cLUFactors.Inc()
-	s.refactored = true // devex loops refresh incremental duals off this
+	s.refactored = true // the dual repair refreshes its duals off this
 	if !s.lu.factor(s.m, s.colPtr, s.rowIdx, s.vals, s.basic) {
-		s.luFail = true
 		return false
 	}
 	cLUFillNNZ.Add(int64(s.lu.nnz()))
 	return true
 }
 
-// computeDuals fills y = c_B^T·B⁻¹ through whichever basis
-// representation is active: a single BTRAN in factorized mode, or the
-// blocked Binv accumulation. costRows is pass-through scratch for the
-// dense path.
-func (s *simplex) computeDuals(cost, y []float64, costRows []int) []int {
-	if s.lu != nil {
-		// Gather the basic costs and pick a BTRAN flavor by density:
-		// the hypersparse path wins when few basic variables carry cost
-		// (all of phase 1 once artificials start leaving, and any
-		// objective over a small variable subset); with a dense cost
-		// vector its reachability DFS visits nearly every step and the
-		// plain dense solve is cheaper.
-		cb := growFloats(s.cB, s.m)
-		s.cB = cb
-		cbNZ := s.cbNZ[:0]
-		for i, j := range s.basic {
-			if cj := cost[j]; cj != 0 {
-				cb[i] = cj
-				cbNZ = append(cbNZ, int32(i))
-			}
+// computeDuals fills y = c_B^T·B⁻¹ with one BTRAN. It gathers the basic
+// costs and picks a BTRAN flavor by density: the hypersparse path wins
+// when few basic variables carry cost (all of phase 1 once artificials
+// start leaving, and any objective over a small variable subset); with
+// a dense cost vector its reachability DFS visits nearly every step and
+// the plain dense solve is cheaper.
+func (s *simplex) computeDuals(cost, y []float64) {
+	cb := growFloats(s.cB, s.m)
+	s.cB = cb
+	cbNZ := s.cbNZ[:0]
+	for i, j := range s.basic {
+		if cj := cost[j]; cj != 0 {
+			cb[i] = cj
+			cbNZ = append(cbNZ, int32(i))
 		}
-		if len(cbNZ)*16 > s.m {
-			c := s.lu.posBuf
-			clear(c)
-			for _, p := range cbNZ {
-				c[p] = cb[p]
-				cb[p] = 0
-			}
-			s.cbNZ = cbNZ[:0]
-			s.lu.btran(c, y) // overwrites all of y
-			s.yDense = true
-			return costRows
-		}
-		if s.yDense {
-			clear(y)
-			s.yDense = false
-			s.yNZp = s.yNZp[:0]
-		}
-		cbNZ, s.yNZp = s.lu.btranSparse(cb, cbNZ, y, s.yNZp)
+	}
+	if len(cbNZ)*16 > s.m {
+		c := s.lu.posBuf
+		clear(c)
 		for _, p := range cbNZ {
+			c[p] = cb[p]
 			cb[p] = 0
 		}
 		s.cbNZ = cbNZ[:0]
-		return costRows
+		s.lu.btran(c, y) // overwrites all of y
+		s.yDense = true
+		return
 	}
-	return s.buildDuals(cost, y, costRows)
+	if s.yDense {
+		clear(y)
+		s.yDense = false
+		s.yNZp = s.yNZp[:0]
+	}
+	cbNZ, s.yNZp = s.lu.btranSparse(cb, cbNZ, y, s.yNZp)
+	for _, p := range cbNZ {
+		cb[p] = 0
+	}
+	s.cbNZ = cbNZ[:0]
+}
+
+// computeDualsFull is computeDuals forced down the dense BTRAN of the
+// full basic cost vector, leaving y valid everywhere. The dual repair
+// uses it because its per-pivot incremental update y ← y + (d_q/α_rq)·ρ
+// can write any position of y.
+func (s *simplex) computeDualsFull(cost, y []float64) {
+	c := s.lu.posBuf
+	clear(c)
+	for i, j := range s.basic {
+		c[i] = cost[j]
+	}
+	s.lu.btran(c, y)
+	s.yDense = true
+	s.yNZp = s.yNZp[:0]
 }
 
 // basisPivot applies a basis change at row leave with FTRAN direction w:
-// a product-form update (or, when refused, a refactorization) of the LU
-// factors, or the dense Binv row reduction. False means the refactor
-// found a singular basis and the solve must abort to a fallback path.
+// a product-form update of the LU factors or, when the update is
+// refused, a refactorization. False means the refactor found a singular
+// basis and the solve must abort to a fallback path.
 func (s *simplex) basisPivot(leave int, w []float64) bool {
-	if s.lu == nil {
-		s.pivotBinv(leave, w)
-		return true
-	}
 	switch s.lu.appendEta(leave, w, s.wNZ) {
 	case etaOK:
 		cLUUpdates.Inc()
 		return true
 	case etaUnstable:
 		cLURefactorStab.Inc()
-		s.unstableRefactor = true // numerical trouble: devex resets weights
 	case etaFill:
 		cLURefactorFill.Inc()
 	}
@@ -985,113 +722,31 @@ func (s *simplex) basisPivot(leave int, w []float64) bool {
 	return s.refactorLU()
 }
 
-// buildDuals fills y = c_B^T · Binv: one contiguous Binv row per basic
-// variable with a nonzero cost. costRows is scratch for the list of
-// contributing rows; the (possibly regrown) list is returned so callers
-// can keep reusing it. Rows are processed in blocks of eight then four
-// so y is loaded/stored once per block; the adds onto each y[i] stay in
-// ascending row order, so the result is bit-identical to the
-// row-at-a-time loop.
-func (s *simplex) buildDuals(cost, y []float64, costRows []int) []int {
-	m := s.m
-	for i := range y {
-		y[i] = 0
-	}
-	costRows = costRows[:0]
-	for r, j := range s.basic {
-		if cost[j] != 0 {
-			costRows = append(costRows, r)
-		}
-	}
-	r := 0
-	for ; r+8 <= len(costRows); r += 8 {
-		r0, r1, r2, r3 := costRows[r], costRows[r+1], costRows[r+2], costRows[r+3]
-		r4, r5, r6, r7 := costRows[r+4], costRows[r+5], costRows[r+6], costRows[r+7]
-		c0, c1, c2, c3 := cost[s.basic[r0]], cost[s.basic[r1]], cost[s.basic[r2]], cost[s.basic[r3]]
-		c4, c5, c6, c7 := cost[s.basic[r4]], cost[s.basic[r5]], cost[s.basic[r6]], cost[s.basic[r7]]
-		row0 := s.binv[r0*m : r0*m+m]
-		row1 := s.binv[r1*m : r1*m+m]
-		row2 := s.binv[r2*m : r2*m+m]
-		row3 := s.binv[r3*m : r3*m+m]
-		row4 := s.binv[r4*m : r4*m+m]
-		row5 := s.binv[r5*m : r5*m+m]
-		row6 := s.binv[r6*m : r6*m+m]
-		row7 := s.binv[r7*m : r7*m+m]
-		for i := range y {
-			acc := y[i] + c0*row0[i]
-			acc = acc + c1*row1[i]
-			acc = acc + c2*row2[i]
-			acc = acc + c3*row3[i]
-			acc = acc + c4*row4[i]
-			acc = acc + c5*row5[i]
-			acc = acc + c6*row6[i]
-			y[i] = acc + c7*row7[i]
-		}
-	}
-	for ; r+4 <= len(costRows); r += 4 {
-		r0, r1, r2, r3 := costRows[r], costRows[r+1], costRows[r+2], costRows[r+3]
-		c0, c1, c2, c3 := cost[s.basic[r0]], cost[s.basic[r1]], cost[s.basic[r2]], cost[s.basic[r3]]
-		row0 := s.binv[r0*m : r0*m+m]
-		row1 := s.binv[r1*m : r1*m+m]
-		row2 := s.binv[r2*m : r2*m+m]
-		row3 := s.binv[r3*m : r3*m+m]
-		for i := range y {
-			acc := y[i] + c0*row0[i]
-			acc = acc + c1*row1[i]
-			acc = acc + c2*row2[i]
-			y[i] = acc + c3*row3[i]
-		}
-	}
-	for ; r < len(costRows); r++ {
-		r0 := costRows[r]
-		cj := cost[s.basic[r0]]
-		row := s.binv[r0*m : r0*m+m]
-		for i, bv := range row {
-			y[i] += cj * bv
-		}
-	}
-	return costRows
-}
-
 // iterate runs primal simplex iterations with the given cost vector
 // until optimality, unboundedness, or the iteration limit. It returns
 // StatusOptimal when no improving entering variable exists.
 //
-// The hot loops are laid out for memory behavior: the dual update
-// streams over contiguous Binv rows, pricing walks flat CSC arrays (or
-// contiguous dense columns on the dense path), and the direction solve
-// accumulates per row so Binv is read in row order instead of striding
-// down a column.
+// Pricing is sectional Dantzig with Bland's rule as the anti-cycling
+// floor: a run of degenerate pivots hands the scan to Bland, whose
+// ordered first-improving rule guarantees termination, and the next
+// pivot that makes real progress hands it back.
 func (s *simplex) iterate(cost []float64) Status {
 	m := s.m
 	if s.y == nil {
 		s.y = make([]float64, m)
 		s.w = make([]float64, m)
-		s.nz = make([]int32, 0, m)
 	}
 	if !s.ensureLU() {
 		return statusNumeric
 	}
 	tol := s.opts.Tol
 	degenerate := 0
-
-	// Pricing-rule resolution and the fallback ladder. `rule` is what
-	// the caller configured (auto resolved against the live basis
-	// representation); `cur` is the rung currently driving the scan —
-	// degenerate streaks demote it devex → Dantzig → Bland, real
-	// progress promotes it back to rule. A devex promotion re-seeds the
-	// weight framework: the weights saw no updates while demoted.
-	rule := s.opts.effectivePricing(s.lu != nil)
-	s.pricedBy = rule
-	cur := rule
-	bland := cur == PricingBland
-	devexMode := cur == PricingDevex
-	s.refactored, s.unstableRefactor = false, false
+	bland := false
 
 	// Pivot/flip/degenerate/pricing tallies stay in locals through the
 	// hot loop and flush to the atomic counters once per iterate call.
 	pivots, flips, degenTotal := 0, 0, 0
-	priced, resets, fallbacks := 0, 0, 0
+	priced, fallbacks := 0, 0
 	defer func() {
 		if pivots != 0 {
 			cPivots.Add(int64(pivots))
@@ -1105,36 +760,22 @@ func (s *simplex) iterate(cost []float64) Status {
 		if priced != 0 {
 			cPricingScanned.Add(int64(priced))
 		}
-		if resets != 0 {
-			cPricingResets.Add(int64(resets))
-		}
 		if fallbacks != 0 {
 			cPricingFallbacks.Add(int64(fallbacks))
 		}
 	}()
 
+	// Establish the hypersparse buffer invariants: w and y all-zero with
+	// no previous pattern (w may be dense-dirty — refreshXB borrows it —
+	// and a pooled pattern may index a larger previous problem).
 	y, w := s.y, s.w
-	if s.lu != nil {
-		// Establish the hypersparse buffer invariants: w and y all-zero
-		// with no previous pattern (w may be dense-dirty — refreshXB
-		// borrows it — and a pooled pattern may index a larger previous
-		// problem).
-		clear(w)
-		clear(y)
-		s.wNZ = s.wNZ[:0]
-		s.yNZp = s.yNZp[:0]
-		s.yDense = false
-		if rule == PricingDevex {
-			// The devex weight update BTRANs a unit pivot row into rho;
-			// establish its zero-outside-pattern invariant too.
-			s.rho = growFloats(s.rho, m)
-			clear(s.rho)
-			s.rhoNZp = s.rhoNZp[:0]
-		}
-	}
+	clear(w)
+	clear(y)
+	s.wNZ = s.wNZ[:0]
+	s.yNZp = s.yNZp[:0]
+	s.yDense = false
 	colPtr, rowIdx, vals := s.colPtr, s.rowIdx, s.vals
 	state, up := s.state, s.up
-	costRows := make([]int, 0, m) // rows whose basic variable has nonzero cost
 
 	// Pricing candidates: nonbasic columns that can move (up > 0),
 	// ascending. Kept sorted across pivots so both Dantzig ties and
@@ -1165,12 +806,6 @@ func (s *simplex) iterate(cost []float64) Status {
 	// against the same duals; any pivot invalidates y.
 	cursor := 0
 	yValid := false
-	// yExact distinguishes BTRAN'd duals from incrementally updated
-	// ones (devex on the factorized basis folds the pivot row into y
-	// instead of re-solving). Optimality is only ever certified — and
-	// devex promotions re-priced — against exact duals.
-	yExact := false
-	section := s.opts.PricingSection
 	ctx := s.opts.Ctx
 
 	for ; s.iters < s.opts.MaxIters; s.iters++ {
@@ -1184,34 +819,24 @@ func (s *simplex) iterate(cost []float64) Status {
 			return StatusCanceled
 		}
 		if !yValid {
-			if devexMode && s.lu != nil {
-				// Incremental-duals mode needs y dense-valid everywhere;
-				// one full BTRAN here replaces one sparse BTRAN per pivot.
-				s.computeDualsFull(cost, y)
-			} else {
-				costRows = s.computeDuals(cost, y, costRows)
-			}
-			yValid, yExact = true, true
-		}
-		if devexMode && !s.gammaOK {
-			s.resetGamma()
-			resets++
+			s.computeDuals(cost, y)
+			yValid = true
 		}
 
 		enter := -1
-		var enterD, enterDir float64
+		var enterDir float64
 		if bland {
 			for bi, j32 := range cands {
 				j := int(j32)
 				st := state[j]
 				d := s.reducedCost(cost, j, y)
 				if st == atLower && d < -tol {
-					enter, enterD, enterDir = j, d, 1
+					enter, enterDir = j, 1
 					priced += bi + 1
 					break
 				}
 				if st == atUpper && d > tol {
-					enter, enterD, enterDir = j, d, -1
+					enter, enterDir = j, -1
 					priced += bi + 1
 					break
 				}
@@ -1220,16 +845,14 @@ func (s *simplex) iterate(cost []float64) Status {
 				priced += len(cands)
 			}
 		} else {
-			dense := s.dense
-			gamma := s.gamma
+			var enterD float64
 			nc := len(cands)
 			if cursor >= nc {
 				cursor = 0
 			}
 			base, scanned := cursor, 0
-			var bestScore float64
 			for scanned < nc && enter == -1 {
-				sect := section
+				sect := pricingSection
 				if rem := nc - scanned; sect > rem {
 					sect = rem
 				}
@@ -1240,36 +863,21 @@ func (s *simplex) iterate(cost []float64) Status {
 					j := int(j32)
 					st := state[j]
 					d := cost[j]
-					if dense != nil {
-						col := dense[j*m : j*m+m]
-						for i, v := range col {
-							d -= y[i] * v
-						}
-					} else {
-						start, end := colPtr[j], colPtr[j+1]
-						ri := rowIdx[start:end]
-						vv := vals[start:end][:len(ri)]
-						for k, rq := range ri {
-							d -= y[rq] * vv[k]
-						}
+					start, end := colPtr[j], colPtr[j+1]
+					ri := rowIdx[start:end]
+					vv := vals[start:end][:len(ri)]
+					for k, rq := range ri {
+						d -= y[rq] * vv[k]
 					}
-					var improving bool
 					var dir float64
 					if st == atLower && d < -tol {
-						improving, dir = true, 1
+						dir = 1
 					} else if st == atUpper && d > tol {
-						improving, dir = true, -1
-					}
-					if !improving {
+						dir = -1
+					} else {
 						continue
 					}
-					if devexMode {
-						// Devex: steepest reduced cost per approximate
-						// edge norm, d²/γ, instead of plain |d|.
-						if sc := d * d / gamma[j]; enter == -1 || sc > bestScore {
-							enter, enterD, enterDir, bestScore = j, d, dir, sc
-						}
-					} else if enter == -1 || math.Abs(d) > math.Abs(enterD) {
+					if enter == -1 || math.Abs(d) > math.Abs(enterD) {
 						enter, enterD, enterDir = j, d, dir
 					}
 				}
@@ -1282,35 +890,19 @@ func (s *simplex) iterate(cost []float64) Status {
 			cursor = base
 		}
 		if enter == -1 {
-			if !yExact {
-				// The wrap priced against incrementally updated duals;
-				// re-derive them exactly from the factors and re-scan
-				// before certifying optimality.
-				s.computeDualsFull(cost, y)
-				yExact = true
-				continue
-			}
 			return StatusOptimal
 		}
 
 		s.direction(enter, w)
 
-		// Ratio test. In factorized mode only the direction's nonzero
-		// pattern is scanned; rows outside it have w[i] == 0 and cannot
-		// limit the step.
+		// Ratio test over the direction's nonzero pattern only; rows
+		// outside it have w[i] == 0 and cannot limit the step.
 		theta := up[enter] // bound-flip limit (may be +Inf)
 		leave := -1
 		leaveTo := atLower
 		const pivTol = 1e-9
-		nRows := m
-		if s.lu != nil {
-			nRows = len(s.wNZ)
-		}
-		for ii := 0; ii < nRows; ii++ {
-			i := ii
-			if s.lu != nil {
-				i = int(s.wNZ[ii])
-			}
+		for _, i32 := range s.wNZ {
+			i := int(i32)
 			if w[i] == 0 {
 				continue
 			}
@@ -1353,36 +945,18 @@ func (s *simplex) iterate(cost []float64) Status {
 		}
 
 		// Anti-cycling fallback ladder: after a run of degenerate pivots
-		// demote one pricing rung (devex hands the plateau to sectional
-		// Dantzig, Dantzig to Bland, whose ordered first-improving scan
-		// guarantees termination); real progress promotes back to the
-		// configured rule.
+		// Bland's rule takes over; real progress hands back to Dantzig.
 		if theta <= 1e-12 {
 			degenerate++
 			degenTotal++
-			if degenerate > 40 && cur != PricingBland {
-				cur = demote(cur)
+			if degenerate > 40 && !bland {
+				bland = true
 				degenerate = 0
 				fallbacks++
-				bland = cur == PricingBland
-				devexMode = false
 			}
 		} else {
 			degenerate = 0
-			if cur != rule {
-				cur = rule
-				bland = cur == PricingBland
-				devexMode = cur == PricingDevex
-				if devexMode {
-					// The framework saw no updates while demoted; re-seed
-					// it, and re-derive exact duals before the incremental
-					// updates resume (they need y dense-valid).
-					s.gammaOK = false
-					if s.lu != nil {
-						yValid = false
-					}
-				}
-			}
+			bland = false
 		}
 
 		// Move basic variables. A degenerate step (theta == 0) moves
@@ -1390,28 +964,15 @@ func (s *simplex) iterate(cost []float64) Status {
 		// skipped; every skipped entry was clamped when it was last
 		// written, so the clamp below cannot fire on it either.
 		if theta != 0 {
-			if s.lu != nil {
-				for _, i32 := range s.wNZ {
-					i := int(i32)
-					wv := w[i]
-					if wv == 0 {
-						continue
-					}
-					s.xB[i] -= enterDir * theta * wv
-					if s.xB[i] < 0 && s.xB[i] > -tol {
-						s.xB[i] = 0
-					}
+			for _, i32 := range s.wNZ {
+				i := int(i32)
+				wv := w[i]
+				if wv == 0 {
+					continue
 				}
-			} else {
-				for i := 0; i < m; i++ {
-					wv := w[i]
-					if wv == 0 {
-						continue
-					}
-					s.xB[i] -= enterDir * theta * wv
-					if s.xB[i] < 0 && s.xB[i] > -tol {
-						s.xB[i] = 0
-					}
+				s.xB[i] -= enterDir * theta * wv
+				if s.xB[i] < 0 && s.xB[i] > -tol {
+					s.xB[i] = 0
 				}
 			}
 		}
@@ -1429,22 +990,7 @@ func (s *simplex) iterate(cost []float64) Status {
 			continue
 		}
 		pivots++
-		if devexMode && yValid {
-			// Weight maintenance against the outgoing basis (and, in
-			// factorized mode, the incremental dual update that makes the
-			// per-pivot BTRAN unnecessary). Runs before any state/basic
-			// mutation: the pivot row and the nonbasic set are pre-pivot.
-			incY := s.lu != nil && s.yDense
-			if s.devexPrimalUpdate(enter, leave, enterD, w, y, incY) {
-				s.gammaOK = false // drift past the cap: reset next iteration
-			}
-			yExact = false
-			if !incY {
-				yValid = false
-			}
-		} else {
-			yValid = false
-		}
+		yValid = false
 
 		// Pivot: basic[leave] exits, enter becomes basic.
 		exit := s.basic[leave]
@@ -1469,160 +1015,20 @@ func (s *simplex) iterate(cost []float64) Status {
 		if !s.basisPivot(leave, w) {
 			return statusNumeric
 		}
-		if s.refactored {
-			// Fresh factors: incremental duals were computed against the
-			// old ones, so refresh before the next pricing scan; an
-			// instability-forced refactorization also resets the devex
-			// frameworks (the weights compounded through the bad pivots).
-			s.refactored = false
-			if devexMode && s.lu != nil {
-				yValid = false
-			}
-			if s.unstableRefactor {
-				s.unstableRefactor = false
-				if rule == PricingDevex {
-					s.gammaOK = false
-					s.betaOK = false
-				}
-			}
-		}
 	}
 	return StatusIterLimit
 }
 
-// direction computes w = B⁻¹ · A_enter: an FTRAN against the factors
-// in factorized mode, else accumulated row by row so Binv is traversed
-// in storage order.
+// direction computes w = B⁻¹ · A_enter with a hypersparse FTRAN: w is
+// all-zero outside the previous pattern (the caller established that
+// before the first call), so clearing that pattern re-establishes the
+// invariant.
 func (s *simplex) direction(enter int, w []float64) {
-	m := s.m
-	colPtr, rowIdx, vals := s.colPtr, s.rowIdx, s.vals
-	if s.lu != nil {
-		// Hypersparse solve: w is all-zero outside the previous pattern
-		// (the caller established that before the first call), so
-		// clearing that pattern re-establishes the invariant.
-		for _, p := range s.wNZ {
-			w[p] = 0
-		}
-		start, end := colPtr[enter], colPtr[enter+1]
-		s.wNZ = s.lu.ftranSparse(rowIdx[start:end], vals[start:end], w)
-		return
+	for _, p := range s.wNZ {
+		w[p] = 0
 	}
-	if s.dense != nil {
-		col := s.dense[enter*m : enter*m+m]
-		for i := 0; i < m; i++ {
-			row := s.binv[i*m : i*m+m]
-			var acc float64
-			for k, v := range col {
-				if v != 0 {
-					acc += row[k] * v
-				}
-			}
-			w[i] = acc
-		}
-		return
-	}
-	start, end := colPtr[enter], colPtr[enter+1]
-	if end-start == 1 {
-		// Slack/artificial fast path: w is one Binv column.
-		r := int(rowIdx[start])
-		v := vals[start]
-		for i := 0; i < m; i++ {
-			w[i] = s.binv[i*m+r] * v
-		}
-		return
-	}
-	// Four Binv rows per pass share one walk of the column's
-	// index/value lists; each w[i] still accumulates its own
-	// terms in entry order.
-	ri := rowIdx[start:end]
-	vv := vals[start:end][:len(ri)]
-	i := 0
-	for ; i+4 <= m; i += 4 {
-		row0 := s.binv[i*m : i*m+m]
-		row1 := s.binv[(i+1)*m : (i+1)*m+m]
-		row2 := s.binv[(i+2)*m : (i+2)*m+m]
-		row3 := s.binv[(i+3)*m : (i+3)*m+m]
-		var a0, a1, a2, a3 float64
-		for k, r := range ri {
-			v := vv[k]
-			a0 += row0[r] * v
-			a1 += row1[r] * v
-			a2 += row2[r] * v
-			a3 += row3[r] * v
-		}
-		w[i] = a0
-		w[i+1] = a1
-		w[i+2] = a2
-		w[i+3] = a3
-	}
-	for ; i < m; i++ {
-		row := s.binv[i*m : i*m+m]
-		var acc float64
-		for k, r := range ri {
-			acc += row[r] * vv[k]
-		}
-		w[i] = acc
-	}
-}
-
-// pivotBinv applies the basis-change row reduction to Binv: the pivot
-// row `leave` is scaled by 1/w[leave] and eliminated from every other
-// row with a nonzero multiplier.
-func (s *simplex) pivotBinv(leave int, w []float64) {
-	m := s.m
-	piv := w[leave]
-	rowL := s.binv[leave*m : leave*m+m]
-	inv := 1 / piv
-	nzL := s.nz[:0]
-	for k := range rowL {
-		if rowL[k] != 0 {
-			rowL[k] *= inv
-			nzL = append(nzL, int32(k))
-		}
-	}
-	s.nz = nzL
-	if len(nzL)*4 < m*3 {
-		// Sparse pivot row: touch only its nonzero positions. The
-		// skipped positions would subtract f·0, which changes
-		// nothing (at most the sign of a zero, which no comparison
-		// downstream distinguishes).
-		for i := 0; i < m; i++ {
-			if i == leave {
-				continue
-			}
-			f := w[i]
-			if f == 0 {
-				continue
-			}
-			row := s.binv[i*m : i*m+m]
-			for _, k := range nzL {
-				row[k] -= f * rowL[k]
-			}
-		}
-		return
-	}
-	for i := 0; i < m; i++ {
-		if i == leave {
-			continue
-		}
-		f := w[i]
-		if f == 0 {
-			continue
-		}
-		row := s.binv[i*m : i*m+m]
-		// Unrolled axpy row -= f·rowL; each element is
-		// independent, so the result matches the scalar loop.
-		k := 0
-		for ; k+4 <= m; k += 4 {
-			row[k] -= f * rowL[k]
-			row[k+1] -= f * rowL[k+1]
-			row[k+2] -= f * rowL[k+2]
-			row[k+3] -= f * rowL[k+3]
-		}
-		for ; k < m; k++ {
-			row[k] -= f * rowL[k]
-		}
-	}
+	start, end := s.colPtr[enter], s.colPtr[enter+1]
+	s.wNZ = s.lu.ftranSparse(s.rowIdx[start:end], s.vals[start:end], w)
 }
 
 // searchInt32 returns the first index in xs (ascending) not less than v.

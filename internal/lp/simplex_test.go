@@ -431,70 +431,33 @@ func TestStatusString(t *testing.T) {
 // nonzero density.
 func randomBoundedLP(t *testing.T, rng *stats.RNG, m, n int, density float64) *Problem {
 	t.Helper()
-	p := NewProblem(Maximize)
-	for j := 0; j < n; j++ {
-		mustVar(t, p, rng.Uniform(0.1, 5), 0, rng.Uniform(0.5, 3), "")
-	}
-	for i := 0; i < m; i++ {
-		mustCon(t, p, LE, rng.Uniform(1, 6), "")
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			if rng.Float64() < density {
-				mustTerm(t, p, i, j, rng.Uniform(0.1, 2))
-			}
-		}
-	}
-	return p
+	return randomFuzzLP(rng, m, n, density).build(t)
 }
 
-// TestPivotModesBitIdentical: the sparse and dense pivot paths must
-// produce byte-for-byte identical solutions — same status, objective,
-// primal values, duals, and iteration count — because they perform the
-// same floating-point operations in the same order.
-func TestPivotModesBitIdentical(t *testing.T) {
-	rng := stats.NewRNG(91)
-	for trial := 0; trial < 8; trial++ {
-		m := 5 + rng.Intn(20)
-		n := 5 + rng.Intn(40)
-		density := rng.Uniform(0.05, 0.9)
-		p := randomBoundedLP(t, rng, m, n, density)
-
-		sparse, err := p.Solve(Options{Pivot: PivotSparse})
-		if err != nil {
-			t.Fatalf("trial %d sparse: %v", trial, err)
-		}
-		dense, err := p.Solve(Options{Pivot: PivotDense})
-		if err != nil {
-			t.Fatalf("trial %d dense: %v", trial, err)
-		}
-		auto, err := p.Solve(Options{})
-		if err != nil {
-			t.Fatalf("trial %d auto: %v", trial, err)
-		}
-		for _, pair := range []struct {
-			name string
-			got  *Solution
-		}{{"dense", dense}, {"auto", auto}} {
-			if pair.got.Status != sparse.Status || pair.got.Iters != sparse.Iters {
-				t.Fatalf("trial %d (m=%d n=%d ρ=%.2f): %s status/iters %v/%d != sparse %v/%d",
-					trial, m, n, density, pair.name, pair.got.Status, pair.got.Iters, sparse.Status, sparse.Iters)
-			}
-			if pair.got.Objective != sparse.Objective {
-				t.Fatalf("trial %d: %s objective %v != sparse %v", trial, pair.name, pair.got.Objective, sparse.Objective)
-			}
-			for j := range sparse.X {
-				if pair.got.X[j] != sparse.X[j] {
-					t.Fatalf("trial %d: %s x[%d] = %v != sparse %v", trial, pair.name, j, pair.got.X[j], sparse.X[j])
-				}
-			}
-			for i := range sparse.Duals {
-				if pair.got.Duals[i] != sparse.Duals[i] {
-					t.Fatalf("trial %d: %s dual[%d] = %v != sparse %v", trial, pair.name, i, pair.got.Duals[i], sparse.Duals[i])
-				}
-			}
-		}
+// randomFuzzLP draws randomBoundedLP's instance in the dense form
+// refSolve consumes: objective coefficients in [0.1, 5], upper bounds
+// in [0.5, 3], ≤ rows with right-hand sides in [1, 6] whose
+// coefficients are nonzero in [0.1, 2] with probability density.
+func randomFuzzLP(rng *stats.RNG, m, n int, density float64) fuzzLP {
+	fz := fuzzLP{sense: Maximize}
+	for j := 0; j < n; j++ {
+		fz.obj = append(fz.obj, rng.Uniform(0.1, 5))
+		fz.hi = append(fz.hi, rng.Uniform(0.5, 3))
 	}
+	for i := 0; i < m; i++ {
+		fz.rels = append(fz.rels, LE)
+		fz.rhs = append(fz.rhs, rng.Uniform(1, 6))
+	}
+	for i := 0; i < m; i++ {
+		row := make([]float64, n)
+		for j := range row {
+			if rng.Float64() < density {
+				row[j] = rng.Uniform(0.1, 2)
+			}
+		}
+		fz.rows = append(fz.rows, row)
+	}
+	return fz
 }
 
 // TestCSCCacheInvalidation: growing the problem after a solve must

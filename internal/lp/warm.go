@@ -4,7 +4,7 @@ import "math"
 
 // Basis is an opaque warm-start handle: it retains the final simplex
 // basis of a Solve (basic set, nonbasic at-lower/at-upper statuses, and
-// the factorized basis inverse) together with the working-problem
+// the LU-factorized basis) together with the working-problem
 // layout it was built for. Passing the handle back via Options.Warm
 // lets the next Solve on the same Problem repair that basis with
 // bounded-variable dual simplex after SetBounds/SetRHS deltas instead
@@ -62,11 +62,11 @@ func (w *Basis) capture(p *Problem, s *simplex, sign []float64) {
 // Clone returns an independent copy of the handle for branch & bound
 // diving: the child may warm-solve and pivot freely without disturbing
 // the parent's basis. Immutable layout arrays (constraint matrix,
-// costs, dense mirror) are shared; basis state (Binv, statuses, values)
-// is copied. A factorized handle's LU factors are NOT copied — the
-// clone gets an empty factorization that is rebuilt from the copied
-// basic set on first use, which is both cheaper than copying the fill
-// and keeps the parent's eta file private.
+// costs, CSR mirror) are shared; basis state (statuses, values) is
+// copied. The LU factors are NOT copied — the clone gets an empty
+// factorization that is rebuilt from the copied basic set on first
+// use, which is both cheaper than copying the fill and keeps the
+// parent's eta file private.
 func (w *Basis) Clone() *Basis {
 	if !w.Valid() {
 		return NewBasis()
@@ -77,22 +77,16 @@ func (w *Basis) Clone() *Basis {
 	s.state = append([]int(nil), w.sx.state...)
 	s.basic = append([]int(nil), w.sx.basic...)
 	s.xB = append([]float64(nil), w.sx.xB...)
-	s.binv = append([]float64(nil), w.sx.binv...)
-	s.y, s.w, s.nz, s.rho, s.wNZ = nil, nil, nil, nil, nil
+	s.y, s.w, s.rho, s.wNZ = nil, nil, nil, nil
 	s.cB, s.cbNZ, s.yNZp, s.rhoNZp = nil, nil, nil, nil
 	s.yDense = false
 	s.phase1, s.slackNB, s.signBuf = nil, nil, nil
-	// Devex scratch is per-solve mutable state: the clone re-seeds its
-	// own weight frameworks. The CSR mirror is immutable alongside the
-	// shared matrix arrays, so it (and csrOK) is shared as-is.
-	s.gamma, s.beta = nil, nil
+	// The pivot-row accumulator is per-solve mutable state; the CSR
+	// mirror is immutable alongside the shared matrix arrays, so it (and
+	// csrOK) is shared as-is.
 	s.alpha, s.alphaNZ, s.alphaMark = nil, nil, nil
 	s.alphaStamp = 0
-	s.gammaOK, s.betaOK = false, false
-	if s.lu != nil {
-		s.lu = new(luBasis) // refactored on demand from s.basic
-	}
-	s.luFail = false
+	s.lu = new(luBasis) // refactored on demand from s.basic
 	return &Basis{matrix: w.matrix, m: w.m, nStruct: w.nStruct, sign: w.sign, sx: &s, ok: true}
 }
 
@@ -181,9 +175,6 @@ func (p *Problem) solveWarm(opts Options) (*Solution, warmOutcome) {
 	s := w.sx
 	s.opts = opts.withDefaults(s.m, nStruct)
 	s.iters = 0
-	// Weight frameworks never carry across solves: the repair re-seeds
-	// them against whatever basis survived since capture.
-	s.gammaOK, s.betaOK = false, false
 	m := s.m
 	sign := w.sign
 
@@ -216,7 +207,7 @@ func (p *Problem) solveWarm(opts Options) (*Solution, warmOutcome) {
 		}
 	}
 
-	// A cloned factorized handle carries the basic set but not the
+	// A cloned or grown handle carries the basic set but not the
 	// factors; rebuild them before the first FTRAN below.
 	if !s.ensureLU() {
 		w.invalidate()
@@ -292,14 +283,12 @@ func (p *Problem) solveWarm(opts Options) (*Solution, warmOutcome) {
 // must agree on X (unique vertex)" apart from "only the objective is
 // pinned".
 func (s *simplex) degenerateOptimum() bool {
-	m := s.m
 	if s.y == nil {
-		s.y = make([]float64, m)
-		s.w = make([]float64, m)
-		s.nz = make([]int32, 0, m)
+		s.y = make([]float64, s.m)
+		s.w = make([]float64, s.m)
 	}
 	y := s.y
-	s.computeDuals(s.cost, y, make([]int, 0, m))
+	s.computeDuals(s.cost, y)
 	tol := s.opts.Tol
 	for j := 0; j < s.n; j++ {
 		if s.state[j] == isBasic || s.up[j] == 0 {
@@ -330,14 +319,12 @@ func (s *simplex) primalFeasible() bool {
 // dualFeasible reports whether every movable nonbasic variable's
 // reduced cost has the optimal sign for its bound status.
 func (s *simplex) dualFeasible() bool {
-	m := s.m
 	if s.y == nil {
-		s.y = make([]float64, m)
-		s.w = make([]float64, m)
-		s.nz = make([]int32, 0, m)
+		s.y = make([]float64, s.m)
+		s.w = make([]float64, s.m)
 	}
 	y := s.y
-	s.computeDuals(s.cost, y, make([]int, 0, m))
+	s.computeDuals(s.cost, y)
 	tol := s.opts.Tol
 	for j := 0; j < s.n; j++ {
 		st := s.state[j]
@@ -361,13 +348,6 @@ func (s *simplex) dualFeasible() bool {
 // termination guarantee and can cycle).
 func (s *simplex) reducedCost(cost []float64, j int, y []float64) float64 {
 	d := cost[j]
-	if s.dense != nil {
-		col := s.dense[j*s.m : (j+1)*s.m]
-		for i, v := range col {
-			d -= y[i] * v
-		}
-		return d
-	}
 	for q := s.colPtr[j]; q < s.colPtr[j+1]; q++ {
 		d -= y[s.rowIdx[q]] * s.vals[q]
 	}
@@ -376,56 +356,46 @@ func (s *simplex) reducedCost(cost []float64, j int, y []float64) float64 {
 
 // dualIterate runs bounded-variable dual simplex from a dual-feasible
 // basis until every basic value is back within its bounds. Each pivot
-// picks the leaving basic variable by dual devex (largest violation per
-// approximate row norm, the dual twin of the primal rule) or plain
-// most-violated, and the entering variable by the dual ratio test over
-// the pivot row, so dual feasibility — and thus the optimality
-// certificate — is preserved throughout. Degenerate streaks demote the
-// row rule down the same fallback ladder as the primal (devex →
-// most-violated → Bland's smallest-variable-index rule, which
-// guarantees termination); a repair never promotes back — it is
-// expected to be short, and a plateau that demoted once tends to
-// persist for the rest of it.
+// picks the most-violated basic variable to leave and the entering
+// variable by the dual ratio test over the pivot row, so dual
+// feasibility — and thus the optimality certificate — is preserved
+// throughout. A degenerate streak hands the choice to Bland's
+// smallest-variable-index rule, which guarantees termination; a repair
+// never hands it back — it is expected to be short, and a plateau that
+// needed Bland once tends to persist for the rest of it.
 func (s *simplex) dualIterate() int {
 	m := s.m
 	if s.y == nil {
 		s.y = make([]float64, m)
 		s.w = make([]float64, m)
-		s.nz = make([]int32, 0, m)
 	}
 	tol := s.opts.Tol
 	const pivTol = 1e-9
 	y, w := s.y, s.w
-	if s.lu != nil {
-		// Same hypersparse buffer invariants as iterate: w, y and the
-		// pivot-row buffer all-zero with no stale patterns before the
-		// first sparse solves.
-		clear(w)
-		clear(y)
-		s.wNZ = s.wNZ[:0]
-		s.yNZp = s.yNZp[:0]
-		s.yDense = false
-		s.rho = growFloats(s.rho, m)
-		clear(s.rho)
-		s.rhoNZp = s.rhoNZp[:0]
-	}
+	// Same hypersparse buffer invariants as iterate: w, y and the
+	// pivot-row buffer all-zero with no stale patterns before the first
+	// sparse solves.
+	clear(w)
+	clear(y)
+	s.wNZ = s.wNZ[:0]
+	s.yNZp = s.yNZp[:0]
+	s.yDense = false
+	s.rho = growFloats(s.rho, m)
+	clear(s.rho)
+	s.rhoNZp = s.rhoNZp[:0]
 	state, up := s.state, s.up
 	degenerate := 0
 	prevViol := math.Inf(1)
 	yOK := false
-	cur := s.opts.effectivePricing(s.lu != nil)
-	bland := cur == PricingBland
-	s.refactored, s.unstableRefactor = false, false
+	bland := false
+	s.refactored = false
 
-	// Dual pivots and pricing events tally locally and flush once per
+	// Dual pivots and ladder events tally locally and flush once per
 	// repair.
-	pivots, resets, fallbacks := 0, 0, 0
+	pivots, fallbacks := 0, 0
 	defer func() {
 		if pivots != 0 {
 			cPivots.Add(int64(pivots))
-		}
-		if resets != 0 {
-			cPricingResets.Add(int64(resets))
 		}
 		if fallbacks != 0 {
 			cPricingFallbacks.Add(int64(fallbacks))
@@ -439,7 +409,6 @@ func (s *simplex) dualIterate() int {
 			cands = append(cands, int32(j))
 		}
 	}
-	costRows := make([]int, 0, m)
 	ctx := s.opts.Ctx
 
 	// A repair is expected to be short: the caller's deltas push a
@@ -462,33 +431,27 @@ func (s *simplex) dualIterate() int {
 		if ctx != nil && s.iters&31 == 0 && ctx.Err() != nil {
 			return dualCanceled
 		}
-		if cur == PricingDevex && !s.betaOK {
-			s.resetBeta()
-			resets++
-		}
-		// Leaving row: the basic variable farthest outside its bounds
-		// (scaled by the devex row weight when that rule drives). viol is
-		// signed: negative below zero, positive above upper. The same
-		// single pass accumulates the total primal infeasibility, which
-		// drives the anti-cycling bookkeeping below: a pivot with a zero
-		// DUAL step can still make real primal progress (on LPs with many
-		// zero-cost columns — the SPM routing variables — every early
-		// cold-start ratio is zero), so demotion keys on this sum
-		// stalling rather than on dual degeneracy. (An upper bound of
+		// Leaving row: the basic variable farthest outside its bounds.
+		// viol is signed: negative below zero, positive above upper. The
+		// same single pass accumulates the total primal infeasibility,
+		// which drives the anti-cycling bookkeeping below: a pivot with a
+		// zero DUAL step can still make real primal progress (on LPs with
+		// many zero-cost columns — the SPM routing variables — every early
+		// cold-start ratio is zero), so the hand-over to Bland keys on this
+		// sum stalling rather than on dual degeneracy. (An upper bound of
 		// +Inf needs no explicit check: xv > ub+tol is then false.)
 		totalViol := 0.0
 		leave := -1
 		var viol float64
-		switch {
-		case bland:
+		if bland {
 			// Bland's dual rule orders by *variable* index, not row
 			// position: among rows outside their bounds, the one whose
 			// basic variable has the smallest index leaves. Taking the
 			// first violated row in row order looks similar but rows
 			// permute as the basis changes, which voids the termination
 			// guarantee — the dual twin of the primal ratio-test
-			// tie-break. (totalViol stays zero: the Bland rung never
-			// demotes, so the stall bookkeeping below is skipped.)
+			// tie-break. (totalViol stays zero: Bland is the last rung,
+			// so the stall bookkeeping below is skipped.)
 			for i := 0; i < m; i++ {
 				xv := s.xB[i]
 				var v float64
@@ -503,30 +466,7 @@ func (s *simplex) dualIterate() int {
 					leave, viol = i, v
 				}
 			}
-		case cur == PricingDevex:
-			// Dual devex: maximize violation² per approximate row norm
-			// β_i ≈ ‖e_iᵀB⁻¹‖², so a row is picked for how far the pivot
-			// actually moves the solution, not just how far its basic
-			// value strayed.
-			beta := s.beta
-			var best float64
-			for i := 0; i < m; i++ {
-				xv := s.xB[i]
-				var v float64
-				if xv < -tol {
-					v = xv
-					totalViol -= xv
-				} else if ub := up[s.basic[i]]; xv > ub+tol {
-					v = xv - ub
-					totalViol += v
-				} else {
-					continue
-				}
-				if sc := v * v / beta[i]; leave == -1 || sc > best {
-					leave, viol, best = i, v, sc
-				}
-			}
-		default:
+		} else {
 			var worst float64
 			for i := 0; i < m; i++ {
 				xv := s.xB[i]
@@ -548,152 +488,99 @@ func (s *simplex) dualIterate() int {
 			return dualDone
 		}
 
-		// Duals y = c_B^T·Binv for the ratio test's reduced costs. The
-		// factorized path computes them once (dense-valid) and then folds
-		// the pivot row into an incremental update each pivot — the same
-		// y ← y + (d_q/α_rq)·ρ identity as the primal devex loop — with
-		// refreshes after refactorizations; the dense path recomputes,
-		// as before. The final primal cleanup re-derives exact duals
-		// before certifying optimality either way.
-		if s.lu != nil {
-			if !yOK {
-				s.computeDualsFull(s.cost, y)
-				yOK = true
-			}
-		} else {
-			costRows = s.computeDuals(s.cost, y, costRows)
+		// Duals y = c_B^T·B⁻¹ for the ratio test's reduced costs: computed
+		// once (dense-valid), then the pivot row is folded into an
+		// incremental update each pivot, with refreshes after
+		// refactorizations. The final primal cleanup re-derives exact
+		// duals before certifying optimality.
+		if !yOK {
+			s.computeDualsFull(s.cost, y)
+			yOK = true
 		}
 
-		// Dual ratio test over the pivot row ρ = e_leave^T·Binv: among
-		// eligible entering columns, the smallest |d_j|/|α_j| keeps every
-		// reduced cost on the right side after the pivot. Ties prefer the
-		// larger |α| (numerical stability); Bland's rule takes the first
-		// eligible column. The dense path reads the row straight out of
-		// Binv; the factorized path BTRANs a unit vector instead.
-		var rho []float64
-		if s.lu != nil {
-			// Hypersparse unit-vector BTRAN: the cB buffer (all-zero
-			// between uses) carries the single seed, and rho keeps the
-			// zero-outside-pattern invariant across iterations.
-			rho = s.rho
-			cb := growFloats(s.cB, m)
-			s.cB = cb
-			cbNZ := append(s.cbNZ[:0], int32(leave))
-			cb[leave] = 1
-			cbNZ, s.rhoNZp = s.lu.btranSparse(cb, cbNZ, rho, s.rhoNZp)
-			for _, p := range cbNZ {
-				cb[p] = 0
-			}
-			s.cbNZ = cbNZ[:0]
-		} else {
-			rho = s.binv[leave*m : leave*m+m]
+		// Pivot row ρ = e_leave^T·B⁻¹ by a hypersparse unit-vector BTRAN:
+		// the cB buffer (all-zero between uses) carries the single seed,
+		// and rho keeps the zero-outside-pattern invariant across
+		// iterations.
+		rho := s.rho
+		cb := growFloats(s.cB, m)
+		s.cB = cb
+		cbNZ := append(s.cbNZ[:0], int32(leave))
+		cb[leave] = 1
+		cbNZ, s.rhoNZp = s.lu.btranSparse(cb, cbNZ, rho, s.rhoNZp)
+		for _, p := range cbNZ {
+			cb[p] = 0
 		}
+		s.cbNZ = cbNZ[:0]
+
+		// Dual ratio test over the pivot row: among eligible entering
+		// columns — those whose move off their bound pushes the leaving
+		// variable back toward its violated bound — the smallest
+		// |d_j|/|α_j| keeps every reduced cost on the right side after the
+		// pivot.
 		enter := -1
-		// Eligibility: moving x_j off its bound must push the leaving
-		// variable back toward its violated bound.
-		eligible := func(j int, alpha float64) bool {
-			if math.Abs(alpha) <= pivTol {
-				return false
-			}
-			if viol < 0 {
-				return state[j] == atLower && alpha < 0 || state[j] == atUpper && alpha > 0
-			}
-			return state[j] == atLower && alpha > 0 || state[j] == atUpper && alpha < 0
-		}
-		colAlpha := func(j int) float64 {
-			var alpha float64
-			if s.dense != nil {
-				col := s.dense[j*m : j*m+m]
-				for i, v := range col {
-					alpha += rho[i] * v
-				}
-			} else {
-				for q := s.colPtr[j]; q < s.colPtr[j+1]; q++ {
-					alpha += rho[s.rowIdx[q]] * s.vals[q]
-				}
-			}
-			return alpha
-		}
 		if bland {
 			// Bland's rung: first eligible column in the fixed ascending
 			// candidate order — the termination guarantee needs that
 			// order, which the gather does not provide.
 			for _, j32 := range cands {
 				j := int(j32)
-				if alpha := colAlpha(j); eligible(j, alpha) {
+				var alpha float64
+				for q := s.colPtr[j]; q < s.colPtr[j+1]; q++ {
+					alpha += rho[s.rowIdx[q]] * s.vals[q]
+				}
+				if math.Abs(alpha) <= pivTol {
+					continue
+				}
+				if viol < 0 && (state[j] == atLower && alpha < 0 || state[j] == atUpper && alpha > 0) ||
+					viol > 0 && (state[j] == atLower && alpha > 0 || state[j] == atUpper && alpha < 0) {
 					enter = j
 					break
 				}
 			}
 		} else {
-			// Short-step dual ratio test: argmin |d_j|/|α_j| over the
-			// eligible columns, ties to the larger |α|. (A bound-flipping
-			// long-step variant was tried here and measured consistently
-			// worse on the SPM LPs — flips land columns at box corners
-			// while these optima want many mid-box basics, so every batch
-			// of flips floods other rows with violations and lengthens
-			// the repair; see BENCH_PR7.json notes.)
+			// Short-step dual ratio test, ties to the larger |α|
+			// (numerical stability). Only columns intersecting ρ's nonzero
+			// rows can have α_j ≠ 0, so they are gathered over the CSR
+			// mirror instead of sweeping every candidate column: a
+			// cold-start repair runs O(m) pivots and the full sweep would
+			// make each one O(nnz). (A bound-flipping long-step variant was
+			// tried here and measured consistently worse on the SPM LPs —
+			// flips land columns at box corners while these optima want
+			// many mid-box basics, so every batch of flips floods other
+			// rows with violations and lengthens the repair; see
+			// BENCH_PR7.json notes.)
 			var bestRatio, bestAbs float64
-			if s.lu != nil {
-				// Hypersparse row path: only columns intersecting ρ's
-				// nonzero rows can have α_j ≠ 0, so gather them over the
-				// CSR mirror instead of sweeping every candidate column. A
-				// cold-start repair runs O(m) pivots and the full sweep
-				// would make each one O(nnz). The eligibility and ratio
-				// logic is inlined here — this loop runs for every
-				// gathered column of every repair pivot, and the closure
-				// calls showed up in profiles.
-				for _, j32 := range s.gatherPivotRow(rho, s.rhoNZp) {
-					alpha := s.alpha[j32]
-					aab := math.Abs(alpha)
-					if aab <= pivTol {
-						continue
-					}
-					j := int(j32)
-					st := state[j]
-					if viol < 0 {
-						if !(st == atLower && alpha < 0 || st == atUpper && alpha > 0) {
-							continue
-						}
-					} else if !(st == atLower && alpha > 0 || st == atUpper && alpha < 0) {
-						continue
-					}
-					// Dual feasibility bounds |d| from the feasible side;
-					// clamp tolerance-level excursions to zero.
-					d := s.reducedCost(s.cost, j, y)
-					var dabs float64
-					if st == atLower {
-						if d > 0 {
-							dabs = d
-						}
-					} else if d < 0 {
-						dabs = -d
-					}
-					ratio := dabs / aab
-					if enter == -1 || ratio < bestRatio-1e-12 ||
-						(ratio < bestRatio+1e-12 && aab > bestAbs) {
-						enter, bestRatio, bestAbs = j, ratio, aab
-					}
+			for _, j32 := range s.gatherPivotRow(rho, s.rhoNZp) {
+				alpha := s.alpha[j32]
+				aab := math.Abs(alpha)
+				if aab <= pivTol {
+					continue
 				}
-			} else {
-				for _, j32 := range cands {
-					j := int(j32)
-					alpha := colAlpha(j)
-					if !eligible(j, alpha) {
+				j := int(j32)
+				st := state[j]
+				if viol < 0 {
+					if !(st == atLower && alpha < 0 || st == atUpper && alpha > 0) {
 						continue
 					}
-					d := s.reducedCost(s.cost, j, y)
-					var dabs float64
-					if state[j] == atLower {
-						dabs = math.Max(d, 0)
-					} else {
-						dabs = math.Max(-d, 0)
+				} else if !(st == atLower && alpha > 0 || st == atUpper && alpha < 0) {
+					continue
+				}
+				// Dual feasibility bounds |d| from the feasible side;
+				// clamp tolerance-level excursions to zero.
+				d := s.reducedCost(s.cost, j, y)
+				var dabs float64
+				if st == atLower {
+					if d > 0 {
+						dabs = d
 					}
-					ratio := dabs / math.Abs(alpha)
-					if enter == -1 || ratio < bestRatio-1e-12 ||
-						(ratio < bestRatio+1e-12 && math.Abs(alpha) > bestAbs) {
-						enter, bestRatio, bestAbs = j, ratio, math.Abs(alpha)
-					}
+				} else if d < 0 {
+					dabs = -d
+				}
+				ratio := dabs / aab
+				if enter == -1 || ratio < bestRatio-1e-12 ||
+					(ratio < bestRatio+1e-12 && aab > bestAbs) {
+					enter, bestRatio, bestAbs = j, ratio, aab
 				}
 			}
 		}
@@ -705,18 +592,17 @@ func (s *simplex) dualIterate() int {
 
 		// Anti-cycling: any true cycle holds the total primal
 		// infeasibility constant, so a sustained run without it shrinking
-		// demotes one rung down the fallback ladder (Bland's rule, the
-		// final rung, guarantees termination). Dual-degenerate pivots
-		// that still reduce the violation — the normal mode of a dual
-		// cold start over zero-cost columns — keep the streak at zero.
-		if cur != PricingBland {
+		// hands over to Bland's rule, which guarantees termination.
+		// Dual-degenerate pivots that still reduce the violation — the
+		// normal mode of a dual cold start over zero-cost columns — keep
+		// the streak at zero.
+		if !bland {
 			if totalViol >= prevViol-tol {
 				degenerate++
 				if degenerate > 40 {
-					cur = demote(cur)
+					bland = true
 					degenerate = 0
 					fallbacks++
-					bland = cur == PricingBland
 				}
 			} else {
 				degenerate = 0
@@ -729,20 +615,12 @@ func (s *simplex) dualIterate() int {
 		if math.Abs(piv) < pivTol {
 			return dualStalled
 		}
-		if s.lu != nil && yOK {
-			// Incremental dual update against the pre-pivot duals, before
-			// state mutates: d_q = c_q − y·A_q is the entering column's
-			// reduced cost and ρ is still this pivot's row.
-			t := s.reducedCost(s.cost, enter, y) / piv
-			if t != 0 {
-				for _, i32 := range s.rhoNZp {
-					y[i32] += t * rho[i32]
-				}
-			}
-		}
-		if cur == PricingDevex {
-			if s.devexDualUpdate(leave, w) {
-				s.betaOK = false // drift past the cap: re-seed next pivot
+		// Incremental dual update against the pre-pivot duals, before
+		// state mutates: d_q = c_q − y·A_q is the entering column's
+		// reduced cost and ρ is still this pivot's row.
+		if t := s.reducedCost(s.cost, enter, y) / piv; t != 0 {
+			for _, i32 := range s.rhoNZp {
+				y[i32] += t * rho[i32]
 			}
 		}
 		t := viol / piv
@@ -751,17 +629,9 @@ func (s *simplex) dualIterate() int {
 		if state[enter] == atUpper {
 			enterBase = up[enter]
 		}
-		if s.lu != nil {
-			for _, i32 := range s.wNZ {
-				if wv := w[i32]; wv != 0 {
-					s.xB[i32] -= t * wv
-				}
-			}
-		} else {
-			for i := 0; i < m; i++ {
-				if wv := w[i]; wv != 0 {
-					s.xB[i] -= t * wv
-				}
+		for _, i32 := range s.wNZ {
+			if wv := w[i32]; wv != 0 {
+				s.xB[i32] -= t * wv
 			}
 		}
 		exit := s.basic[leave]
@@ -785,16 +655,99 @@ func (s *simplex) dualIterate() int {
 			// Fresh factors: refresh the incrementally updated duals.
 			s.refactored = false
 			yOK = false
-			if s.unstableRefactor {
-				s.unstableRefactor = false
-				if cur == PricingDevex {
-					s.betaOK = false
-				}
-			}
 		}
 		pivots++
 	}
 	return dualStalled
+}
+
+// ensureCSR builds the row-major (CSR) mirror of the working matrix.
+// The dual ratio test needs the pivot row α_r = ρ·A restricted to
+// nonbasic columns, and gathering it row-wise over ρ's nonzero pattern
+// is the sparse way to get it; the CSC arrays would force a full
+// column sweep per pivot. The matrix is immutable for the lifetime of
+// a working problem (bounds and costs change between warm solves, the
+// coefficients never do), so the mirror is built once per cold solve
+// and shared by clones.
+func (s *simplex) ensureCSR() {
+	if s.csrOK {
+		return
+	}
+	m, n := s.m, s.n
+	nnz := int(s.colPtr[n])
+	s.rowPtr = growInt32s(s.rowPtr, m+1, m+1)
+	rowPtr := s.rowPtr
+	clear(rowPtr)
+	for _, r := range s.rowIdx[:nnz] {
+		rowPtr[r+1]++
+	}
+	for i := 0; i < m; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	s.colInd = growInt32s(s.colInd, nnz, nnz)
+	s.rVals = growFloats(s.rVals, nnz)
+	// Scatter with rowPtr as running cursors; columns are visited in
+	// ascending order, so each row's entries land column-sorted.
+	for j := 0; j < n; j++ {
+		for q := s.colPtr[j]; q < s.colPtr[j+1]; q++ {
+			r := s.rowIdx[q]
+			pos := rowPtr[r]
+			s.colInd[pos] = int32(j)
+			s.rVals[pos] = s.vals[q]
+			rowPtr[r] = pos + 1
+		}
+	}
+	// rowPtr[i] now holds end(i) == start(i+1); shift down one slot.
+	copy(rowPtr[1:m+1], rowPtr[:m])
+	rowPtr[0] = 0
+	s.csrOK = true
+}
+
+// gatherPivotRow computes the pivot row α = ρ·A restricted to movable
+// nonbasic columns, accumulated sparsely over the CSR mirror with stamp
+// dedup (a column can appear under several rows of ρ's pattern). The
+// values land in s.alpha and both they and the returned pattern stay
+// valid until the next call; no clearing is needed between calls — the
+// stamp invalidates stale entries. rhoNZ lists ρ's nonzero rows. The
+// dual ratio test runs on it: a cold-start dual repair runs thousands
+// of pivots, and sweeping every candidate column per pivot is the
+// difference between O(nnz) and O(nnz(ρ-rows)) each.
+func (s *simplex) gatherPivotRow(rho []float64, rhoNZ []int32) []int32 {
+	s.ensureCSR()
+	if len(s.alphaMark) != s.n {
+		s.alpha = growFloats(s.alpha, s.n)
+		clear(s.alpha)
+		s.alphaNZ = growInt32s(s.alphaNZ, 0, s.n)
+		s.alphaMark = growInt32s(s.alphaMark, s.n, s.n)
+		clear(s.alphaMark)
+		s.alphaStamp = 0
+	}
+	s.alphaStamp++
+	stamp := s.alphaStamp
+	state, up := s.state, s.up
+	alpha, mark := s.alpha, s.alphaMark
+	nz := s.alphaNZ[:0]
+	sweep := func(i int, rv float64) {
+		for q := s.rowPtr[i]; q < s.rowPtr[i+1]; q++ {
+			j := s.colInd[q]
+			if state[j] == isBasic || up[j] == 0 {
+				continue
+			}
+			if mark[j] != stamp {
+				mark[j] = stamp
+				alpha[j] = 0
+				nz = append(nz, j)
+			}
+			alpha[j] += rv * s.rVals[q]
+		}
+	}
+	for _, i32 := range rhoNZ {
+		if rv := rho[i32]; rv != 0 {
+			sweep(int(i32), rv)
+		}
+	}
+	s.alphaNZ = nz
+	return nz
 }
 
 // residualOK verifies the repaired basis against the original equations

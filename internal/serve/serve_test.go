@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -420,6 +421,70 @@ func TestRunLoopTicksAndDrains(t *testing.T) {
 	}
 	if !s.Stats().Draining {
 		t.Fatal("server not marked draining after run exit")
+	}
+}
+
+// TestSubmitBodyLimits: the submit endpoints decode exactly one JSON
+// value of bounded size. An oversized body is refused with 413 and
+// trailing data after the value with 400, both before anything is
+// queued; a well-formed 100-request batch still succeeds.
+func TestSubmitBodyLimits(t *testing.T) {
+	s := newTestServer(t, func(c *Config) { c.QueueLimit = 128 })
+	post := func(path, body string) *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rr, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		return rr
+	}
+	one, err := json.Marshal(goodRequest(1e5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batchOf := func(n int) string {
+		reqs := make([]demand.Request, n)
+		for i := range reqs {
+			reqs[i] = goodRequest(1e5)
+		}
+		b, err := json.Marshal(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	padded := strings.Replace(string(one), "{", "{"+strings.Repeat(" ", maxRequestBytes), 1)
+	for _, c := range []struct {
+		name, path, body string
+		want             int
+	}{
+		{"oversized request", "/v1/requests", padded, http.StatusRequestEntityTooLarge},
+		{"oversized batch", "/v1/requests/batch", batchOf(2000), http.StatusRequestEntityTooLarge},
+		{"second request", "/v1/requests", string(one) + string(one), http.StatusBadRequest},
+		{"trailing garbage", "/v1/requests", string(one) + " x", http.StatusBadRequest},
+		{"second batch", "/v1/requests/batch", batchOf(2) + "\n" + batchOf(2), http.StatusBadRequest},
+	} {
+		if rr := post(c.path, c.body); rr.Code != c.want {
+			t.Fatalf("%s: status %d, want %d (body %s)", c.name, rr.Code, c.want, rr.Body.String())
+		}
+		if st := s.Stats(); st.Submitted != 0 || st.QueueDepth != 0 {
+			t.Fatalf("%s: refused body changed state: submitted %d, queue %d", c.name, st.Submitted, st.QueueDepth)
+		}
+	}
+
+	if rr := post("/v1/requests", string(one)+"\n"); rr.Code != http.StatusAccepted {
+		t.Fatalf("single request with trailing newline: status %d, body %s", rr.Code, rr.Body.String())
+	}
+	rr := post("/v1/requests/batch", batchOf(100)+"\n")
+	if rr.Code != http.StatusOK {
+		t.Fatalf("100-request batch: status %d, body %s", rr.Code, rr.Body.String())
+	}
+	var out []BatchResult
+	if err := json.Unmarshal(rr.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 100 {
+		t.Fatalf("100-request batch: %d results", len(out))
+	}
+	if st := s.Stats(); st.Submitted != 101 || st.QueueDepth != 101 {
+		t.Fatalf("after accepted submits: submitted %d, queue %d, want 101", st.Submitted, st.QueueDepth)
 	}
 }
 

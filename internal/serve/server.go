@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -1246,12 +1247,43 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, code, h)
 }
 
+// maxRequestBytes caps one request's JSON encoding on the submit
+// endpoints. A request is seven numbers, about 110 bytes as the load
+// tools write it and under 250 bytes even with every field at its
+// longest float or integer form; the cap leaves room for whitespace.
+const maxRequestBytes = 1 << 10
+
+// decodeBody decodes exactly one JSON value of at most limit bytes from
+// r's body into v, rejecting unknown fields. Anything after the value
+// other than whitespace is refused rather than silently dropped. On
+// failure it returns the status to answer with: 413 when the body runs
+// past limit, 400 otherwise.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = errors.New("trailing data after the JSON value")
+			if terr != nil {
+				err = terr
+			}
+		}
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", limit)
+	}
+	if err != nil {
+		return http.StatusBadRequest, err
+	}
+	return 0, nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req demand.Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "decode request: " + err.Error()})
+	if code, err := decodeBody(w, r, maxRequestBytes, &req); err != nil {
+		writeJSON(w, code, map[string]string{"error": "decode request: " + err.Error()})
 		return
 	}
 	d, err := s.Submit(req)
@@ -1276,13 +1308,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 // handleSubmitBatch decodes one JSON array of requests and enqueues
 // them in order: a single decode and response for the whole batch keeps
-// high-rate load generators off the per-request JSON overhead.
+// high-rate load generators off the per-request JSON overhead. The body
+// is capped at QueueLimit requests' worth of bytes: a batch larger than
+// the whole queue could only be shed.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var reqs []demand.Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&reqs); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "decode batch: " + err.Error()})
+	limit := int64(s.cfg.QueueLimit) * maxRequestBytes
+	if code, err := decodeBody(w, r, limit, &reqs); err != nil {
+		writeJSON(w, code, map[string]string{"error": "decode batch: " + err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, s.SubmitAll(reqs))
