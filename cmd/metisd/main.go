@@ -8,7 +8,7 @@
 //
 //	metisd -addr :8080 -network SUB-B4 -epoch 250ms
 //	metisd -policy metis -replan-every 4 -theta 4
-//	metisd -policy metis-incremental -replan-every 2   # persistent warm model across epochs
+//	metisd -policy metis-incremental -replan-every 2   # refine the carried incumbent per replan
 //	metisd -policy taa -plan-units 20
 //	metisd -snapshot state.json -snapshot-every 8     # resumes from state.json on restart
 //	metisd -check                                     # post-tick ledger invariant sweep

@@ -12,8 +12,8 @@ var (
 // Cross-epoch replanner outcomes.
 var (
 	cReplanFull      = obs.NewCounter("core.replan.full", "replans that ran the full Metis alternation from scratch")
-	cReplanRefines   = obs.NewCounter("core.replan.refines", "replans that ran one incumbent-refinement round on the persistent model")
-	cReplanFallbacks = obs.NewCounter("core.replan.fallbacks", "incremental replans that dropped the persistent session and fell back to a cold full solve")
+	cReplanRefines   = obs.NewCounter("core.replan.refines", "replans that ran one incumbent-refinement round (greedy extension, cold BL relaxation, TAA)")
+	cReplanFallbacks = obs.NewCounter("core.replan.fallbacks", "refinements that failed on an LP error and fell back to a full Metis solve")
 	cReplanLPSkips   = obs.NewCounter("core.replan.lp_skips", "refinements that skipped the LP stages because an earlier one in the billing cycle missed its budget")
 )
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"metis/internal/demand"
-	"metis/internal/lp"
 	"metis/internal/sched"
 	"metis/internal/solvectx"
 	"metis/internal/spm"
@@ -24,38 +23,35 @@ const (
 	// Metis alternation (SolveCtx) on every replan — the original
 	// service-layer behavior, kept as the reference strategy.
 	ReplanFull ReplanMode = iota
-	// ReplanIncremental keeps a persistent spm.BLSession across epochs:
-	// arrivals fold into the live LP as appended columns, the warm
-	// simplex basis survives from replan to replan, and each replan runs
-	// one incumbent-refinement round instead of the full alternation.
+	// ReplanIncremental carries the incumbent across epochs and runs one
+	// incumbent-refinement round per replan instead of the full
+	// alternation: a greedy extension over the newcomers, then a cold BL
+	// relaxation of the whole observed workload and TAA rounding under
+	// the extension's purchase.
 	ReplanIncremental
-	// ReplanColdRefine runs exactly the ReplanIncremental algorithm but
-	// rebuilds the BL session from scratch and solves it cold on every
-	// replan. It exists as the differential comparator: an incremental
-	// and a cold-refine replanner fed the same trace must make identical
-	// decisions, which is what the parity tests assert.
-	ReplanColdRefine
 )
 
 // Replanner is the metis policy's cross-epoch solver state: the
 // instance over every request observed this billing cycle (grown by
-// Observe), the persistent warm BL session in incremental mode, and
-// the most profitable schedule found so far (the incumbent). Replan
+// Observe), the most profitable schedule found so far (the incumbent),
+// and the last refinement's relaxation (the admission guide). Replan
 // improves the incumbent over whatever arrived since the last call.
+// Nothing else survives between replans: each refinement builds and
+// solves its LPs from scratch, so Observed, IncumbentChoices,
+// NumPlanned, RelaxedGuide and LPCutShort are the whole durable state.
 //
-// The fallback ladder mirrors the LP layer's discipline: any failure of
-// the incremental machinery — a session build or extension error, a
-// solver bail — drops the persistent model and re-solves the whole
-// workload from scratch with SolveCtx; Reset (the cycle wrap) discards
-// everything.
+// The fallback ladder mirrors the LP layer's discipline: a refinement
+// that fails for any reason other than its context (an LP error)
+// re-solves the whole workload from scratch with SolveCtx; Reset (the
+// cycle wrap) discards everything.
 //
 // A refinement whose LP stages (BL relaxation, TAA) run out of budget
-// marks the cycle cut short: the persistent model is dropped and every
-// later replan of the cycle runs only the cheap stages (lifted
-// incumbent, greedy extension). Within a cycle the workload only grows
-// and each replan gets the same budget share, so an LP that missed its
-// budget at n requests would miss it again at any n' > n; Reset re-arms
-// the LP once per cycle. A Replanner is not safe for concurrent use.
+// marks the cycle cut short: every later replan of the cycle runs only
+// the cheap stages (lifted incumbent, greedy extension). Within a cycle
+// the workload only grows and each replan gets the same budget share,
+// so an LP that missed its budget at n requests would miss it again at
+// any n' > n; Reset re-arms the LP once per cycle. A Replanner is not
+// safe for concurrent use.
 type Replanner struct {
 	cfg   Config
 	mode  ReplanMode
@@ -64,11 +60,8 @@ type Replanner struct {
 	paths int
 
 	inst       *sched.Instance
-	sess       *spm.BLSession  // incremental mode only
 	incumbent  *sched.Schedule // best schedule over inst; nil before the first replan
-	profit     float64
-	charged    []int
-	planned    int // requests observed at the last completed replan
+	planned    int             // requests observed at the last completed replan
 	loadsBuf   [][]float64
 	relX       [][]float64 // last BL relaxation's fractional X, aligned to observed positions
 	lpCutShort bool        // an LP stage missed its budget this cycle; later refines skip the LP
@@ -85,40 +78,25 @@ func NewReplanner(net *wan.Network, slots int, pathsPerRequest int, cfg Config, 
 }
 
 // Reset drops all cycle-scoped state: the observed workload, the
-// persistent session and its warm basis, the incumbent, and the
-// cut-short mark (so the new cycle probes the LP again). The serve
-// layer calls it when the billing cycle wraps.
+// incumbent, the relaxation guide, and the cut-short mark (so the new
+// cycle probes the LP again). The serve layer calls it when the
+// billing cycle wraps.
 func (rp *Replanner) Reset() {
-	rp.inst, rp.sess, rp.incumbent = nil, nil, nil
-	rp.profit, rp.charged, rp.planned = 0, nil, 0
+	rp.inst, rp.incumbent = nil, nil
+	rp.planned = 0
 	rp.relX, rp.lpCutShort = nil, false
 }
 
 // LPCutShort reports whether an LP stage missed its budget this cycle,
-// so that later refinements skip the LP until Reset. Together with
-// Observed and IncumbentChoices it is part of the durable state.
+// so that later refinements skip the LP until Reset. It is part of the
+// durable state.
 func (rp *Replanner) LPCutShort() bool { return rp.lpCutShort }
 
 // RestoreLPCutShort re-installs a snapshot's or redo record's
-// cut-short mark. Setting it drops the persistent session, exactly as
-// the cut-short refinement did.
-func (rp *Replanner) RestoreLPCutShort(cut bool) {
-	if cut {
-		rp.markCutShort()
-	} else {
-		rp.lpCutShort = false
-	}
-}
+// cut-short mark.
+func (rp *Replanner) RestoreLPCutShort(cut bool) { rp.lpCutShort = cut }
 
-// markCutShort records that an LP stage missed its budget this cycle
-// and drops the persistent session, so Observe stops appending columns
-// that no later refinement of the cycle would solve.
-func (rp *Replanner) markCutShort() { rp.lpCutShort, rp.sess = true, nil }
-
-// Observe folds newly arrived requests into the observed workload. In
-// incremental mode the persistent session absorbs them as appended
-// columns; a session extension failure falls back to a cold rebuild at
-// the next replan rather than failing the epoch.
+// Observe folds newly arrived requests into the observed workload.
 func (rp *Replanner) Observe(reqs []demand.Request) error {
 	if len(reqs) == 0 {
 		return nil
@@ -131,12 +109,6 @@ func (rp *Replanner) Observe(reqs []demand.Request) error {
 	}
 	if err != nil {
 		return fmt.Errorf("core: replanner observe: %w", err)
-	}
-	if rp.mode == ReplanIncremental && rp.sess != nil {
-		if err := rp.sess.Extend(rp.inst); err != nil {
-			cReplanFallbacks.Inc()
-			rp.sess = nil
-		}
 	}
 	return nil
 }
@@ -164,8 +136,7 @@ func (rp *Replanner) Observed() []demand.Request {
 
 // IncumbentChoices returns the incumbent's per-request path choices
 // (sched.Declined for declined requests), or nil before the first
-// replan. Together with Observed it is the whole durable state of a
-// replanner: the session and its basis are rebuilt deterministically.
+// replan.
 func (rp *Replanner) IncumbentChoices() []int {
 	if rp.incumbent == nil {
 		return nil
@@ -198,9 +169,6 @@ func (rp *Replanner) RestoreIncumbent(choices []int, planned int) error {
 		}
 	}
 	rp.incumbent = s
-	rp.loadsBuf = s.LoadsInto(rp.loadsBuf)
-	rp.charged = sched.ChargedOf(rp.loadsBuf)
-	rp.profit = s.Revenue() - s.CostOfCharged(rp.charged)
 	rp.planned = planned
 	return nil
 }
@@ -213,8 +181,8 @@ func (rp *Replanner) RestoreIncumbent(choices []int, planned int) error {
 // The guide is a heuristic input — consumers must stay correct with
 // stale, partial or all-nil weights. It is exactly what taa.SolveVar
 // accepts as a pre-solved relaxation, which lets the serve layer's
-// admission pass skip its per-batch LP: the persistent model has
-// already priced every observed request against the cycle plan.
+// admission pass skip its per-batch LP: the last refinement has
+// already priced every request it covered against the cycle plan.
 func (rp *Replanner) RelaxedGuide(from int) [][]float64 {
 	n := rp.NumObserved()
 	if rp.relX == nil || from < 0 || from > n {
@@ -231,17 +199,30 @@ func (rp *Replanner) RelaxedGuide(from int) [][]float64 {
 
 // RestoreRelaxedGuide re-installs a snapshot's relaxation guide (as
 // returned by RelaxedGuide(0)). Must follow Observe of the snapshot's
-// workload; extra entries beyond the observed workload are dropped.
-func (rp *Replanner) RestoreRelaxedGuide(x [][]float64) {
+// workload; extra entries beyond the observed workload are dropped. A
+// non-nil row must hold one weight in [0, 1] per candidate path of its
+// request.
+func (rp *Replanner) RestoreRelaxedGuide(x [][]float64) error {
 	if len(x) > rp.NumObserved() {
 		x = x[:rp.NumObserved()]
 	}
+	for i, row := range x {
+		if row != nil && len(row) != rp.inst.NumPaths(i) {
+			return fmt.Errorf("core: restore relaxed guide: request %d has %d weights for %d paths", i, len(row), rp.inst.NumPaths(i))
+		}
+		for j, v := range row {
+			if !(v >= 0 && v <= 1) {
+				return fmt.Errorf("core: restore relaxed guide: request %d path %d weight %v outside [0, 1]", i, j, v)
+			}
+		}
+	}
 	rp.relX = x
+	return nil
 }
 
 // Replan improves the incumbent over the workload observed so far and
 // returns it as a Result (Charged is the capacity plan). In ReplanFull
-// mode every call is a full SolveCtx; in the refinement modes each call
+// mode every call is a full SolveCtx; in ReplanIncremental mode each call
 // runs one round — greedy extension of the incumbent over newcomers,
 // a BL relaxation solve under the extension's purchase, TAA admission,
 // pruning — and keeps the most profitable of incumbent, extension and
@@ -260,7 +241,7 @@ func (rp *Replanner) Replan(ctx context.Context) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rp.adopt(res.Schedule, res.Profit, res.Charged)
+		rp.adopt(res.Schedule)
 		return res, nil
 	}
 	cReplanRefines.Inc()
@@ -269,17 +250,15 @@ func (rp *Replanner) Replan(ctx context.Context) (*Result, error) {
 		if solvectx.Is(err) {
 			return nil, err
 		}
-		// Fallback ladder: the incremental machinery failed (session
-		// build, LP error); drop the persistent model and re-solve the
-		// whole workload from scratch.
+		// Fallback ladder: the refinement failed (an LP error);
+		// re-solve the whole workload from scratch.
 		cReplanFallbacks.Inc()
-		rp.sess = nil
 		res, err = SolveCtx(ctx, rp.inst, rp.cfg)
 		if err != nil {
 			return nil, err
 		}
 	}
-	rp.adopt(res.Schedule, res.Profit, res.Charged)
+	rp.adopt(res.Schedule)
 	return res, nil
 }
 
@@ -331,10 +310,10 @@ func (rp *Replanner) refine(ctx context.Context) (*Result, error) {
 	buf = ext.LoadsInto(buf)
 	caps := sched.ChargedOf(buf)
 
-	rel, err := rp.relax(lpOpts, caps)
+	rel, err := spm.SolveBLRelaxation(inst, caps, lpOpts)
 	if err != nil {
 		if solvectx.Is(err) {
-			rp.markCutShort()
+			rp.lpCutShort = true
 			return rp.finish(start, best, bestProfit, buf, err), nil
 		}
 		return nil, err
@@ -347,7 +326,7 @@ func (rp *Replanner) refine(ctx context.Context) (*Result, error) {
 	taaRes, err := taa.Solve(inst, caps, taa.Options{LP: lpOpts, Relaxed: rel, Ctx: lpOpts.Ctx})
 	if err != nil {
 		if solvectx.Is(err) {
-			rp.markCutShort()
+			rp.lpCutShort = true
 			return rp.finish(start, best, bestProfit, buf, err), nil
 		}
 		return nil, err
@@ -358,34 +337,6 @@ func (rp *Replanner) refine(ctx context.Context) (*Result, error) {
 		best, bestProfit = taaRes.Schedule, taaProfit
 	}
 	return rp.finish(start, best, bestProfit, buf, nil), nil
-}
-
-// relax solves the BL relaxation over the whole observed workload
-// under caps — warm on the persistent session in incremental mode, cold
-// on a fresh session in the comparator mode. The two return exactly the
-// same relaxation (the BLSession bit-identity and degenerate-vertex
-// re-solve guarantees), which is what keeps the modes' decisions equal.
-func (rp *Replanner) relax(opts lp.Options, caps []int) (*spm.RelaxedBL, error) {
-	all := make([]int, rp.inst.NumRequests())
-	for i := range all {
-		all[i] = i
-	}
-	if rp.mode == ReplanColdRefine {
-		sess, err := spm.NewBLSession(rp.inst, opts)
-		if err != nil {
-			return nil, err
-		}
-		return sess.SolveSubset(all, caps)
-	}
-	if rp.sess == nil {
-		sess, err := spm.NewBLSession(rp.inst, opts)
-		if err != nil {
-			return nil, err
-		}
-		rp.sess = sess
-	}
-	rp.sess.SetOptions(opts)
-	return rp.sess.SolveSubset(all, caps)
 }
 
 func (rp *Replanner) liftIncumbent() *sched.Schedule {
@@ -405,9 +356,8 @@ func (rp *Replanner) liftIncumbent() *sched.Schedule {
 	return s
 }
 
-func (rp *Replanner) adopt(s *sched.Schedule, profit float64, charged []int) {
-	rp.incumbent, rp.profit = s, profit
-	rp.charged = append(rp.charged[:0], charged...)
+func (rp *Replanner) adopt(s *sched.Schedule) {
+	rp.incumbent = s
 	rp.planned = rp.inst.NumRequests()
 }
 

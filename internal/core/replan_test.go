@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"os"
+	"reflect"
 	"testing"
 
 	"metis/internal/demand"
@@ -27,19 +28,56 @@ func requestPool(t *testing.T, net *wan.Network, k int, seed int64) []demand.Req
 	return reqs
 }
 
+// restoreFromDurable builds a second replanner from rp's durable state
+// alone — Observed, IncumbentChoices, NumPlanned, RelaxedGuide(0) and
+// LPCutShort — exactly as the serve layer's snapshot restore does.
+func restoreFromDurable(t *testing.T, rp *Replanner) *Replanner {
+	t.Helper()
+	out := NewReplanner(rp.net, rp.slots, rp.paths, rp.cfg, rp.mode)
+	if err := out.Observe(rp.Observed()); err != nil {
+		t.Fatalf("restore observe: %v", err)
+	}
+	if choices := rp.IncumbentChoices(); choices != nil {
+		if err := out.RestoreIncumbent(choices, rp.NumPlanned()); err != nil {
+			t.Fatalf("restore incumbent: %v", err)
+		}
+	}
+	if err := out.RestoreRelaxedGuide(rp.RelaxedGuide(0)); err != nil {
+		t.Fatalf("restore guide: %v", err)
+	}
+	out.RestoreLPCutShort(rp.LPCutShort())
+	return out
+}
+
+// replanMaybeCut runs one replan; when cut is set, the replan's first
+// LP solve is canceled (the cut-short path).
+func replanMaybeCut(rp *Replanner, cut bool) (*Result, error) {
+	if !cut {
+		return rp.Replan(nil)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fault.Enable("lp.solve", fault.Spec{Kind: fault.KindCancel, Cancel: cancel})
+	defer fault.Reset()
+	return rp.Replan(ctx)
+}
+
 // driveParityTrace pushes one randomized arrival trace through an
-// incremental replanner and the cold-refine comparator, asserting
-// identical admit/reject decisions (per-request path choices) and
-// identical profit after every replan. Failure messages carry the seed;
-// rebuild the trace with stats.NewRNG(seed) and the same parameters.
+// incremental replanner and, before every replan, through a second
+// replanner restored from the first one's durable state alone. Both
+// must return identical plans, profits, schedules and relaxation
+// guides: no solver state outside the durable image may influence a
+// decision. About one replan in ten is cut short inside its LP (the
+// same cut on both sides), so the cut-short mark is exercised as
+// durable state too. Failure messages carry the seed; rebuild the
+// trace with stats.NewRNG(seed) and the same parameters.
 func driveParityTrace(t *testing.T, seed int64, k int) {
 	t.Helper()
 	net := wan.SubB4()
 	rng := stats.NewRNG(seed)
 	pool := requestPool(t, net, k, seed)
 	cfg := Config{Theta: 2, Seed: seed}
-	inc := NewReplanner(net, 12, 3, cfg, ReplanIncremental)
-	cold := NewReplanner(net, 12, 3, cfg, ReplanColdRefine)
+	live := NewReplanner(net, 12, 3, cfg, ReplanIncremental)
 
 	used := 0
 	for epoch := 0; used < len(pool); epoch++ {
@@ -49,54 +87,60 @@ func driveParityTrace(t *testing.T, seed int64, k int) {
 		}
 		arrivals := pool[used : used+batch]
 		used += batch
-		if err := inc.Observe(arrivals); err != nil {
-			t.Fatalf("seed %d epoch %d: incremental observe: %v", seed, epoch, err)
-		}
-		if err := cold.Observe(arrivals); err != nil {
-			t.Fatalf("seed %d epoch %d: cold observe: %v", seed, epoch, err)
+		if err := live.Observe(arrivals); err != nil {
+			t.Fatalf("seed %d epoch %d: observe: %v", seed, epoch, err)
 		}
 		// Occasionally skip the replan (the policy's replan-every
-		// cadence): both paths must tolerate multi-batch deltas.
+		// cadence): the restore must cover multi-batch deltas.
 		if rng.Float64() < 0.25 && used < len(pool) {
 			continue
 		}
-		ri, err := inc.Replan(nil)
+		cut := rng.Float64() < 0.1
+		restored := restoreFromDurable(t, live)
+		rl, err := replanMaybeCut(live, cut)
 		if err != nil {
-			t.Fatalf("seed %d epoch %d: incremental replan: %v", seed, epoch, err)
+			t.Fatalf("seed %d epoch %d: live replan: %v", seed, epoch, err)
 		}
-		rc, err := cold.Replan(nil)
+		rr, err := replanMaybeCut(restored, cut)
 		if err != nil {
-			t.Fatalf("seed %d epoch %d: cold replan: %v", seed, epoch, err)
+			t.Fatalf("seed %d epoch %d: restored replan: %v", seed, epoch, err)
 		}
-		if ri.Degraded || rc.Degraded {
-			t.Fatalf("seed %d epoch %d: degraded replan without a deadline (inc=%v cold=%v)",
-				seed, epoch, ri.Degraded, rc.Degraded)
+		if rl.Degraded != rr.Degraded || (!cut && rl.Degraded) {
+			t.Fatalf("seed %d epoch %d (cut %v): degraded live=%v restored=%v",
+				seed, epoch, cut, rl.Degraded, rr.Degraded)
 		}
-		for i := 0; i < inc.NumObserved(); i++ {
-			ci, cc := ri.Schedule.Choice(i), rc.Schedule.Choice(i)
-			if ci != cc {
-				t.Fatalf("seed %d epoch %d: request %d decided differently: incremental path %d, cold rebuild path %d",
-					seed, epoch, i, ci, cc)
+		for i := 0; i < live.NumObserved(); i++ {
+			cl, cr := rl.Schedule.Choice(i), rr.Schedule.Choice(i)
+			if cl != cr {
+				t.Fatalf("seed %d epoch %d: request %d decided differently: live path %d, restored path %d",
+					seed, epoch, i, cl, cr)
 			}
 		}
-		if ri.Profit != rc.Profit {
-			t.Fatalf("seed %d epoch %d: profit diverged: incremental %.17g, cold rebuild %.17g",
-				seed, epoch, ri.Profit, rc.Profit)
+		if rl.Profit != rr.Profit {
+			t.Fatalf("seed %d epoch %d: profit diverged: live %.17g, restored %.17g",
+				seed, epoch, rl.Profit, rr.Profit)
 		}
-		for e := range ri.Charged {
-			if ri.Charged[e] != rc.Charged[e] {
-				t.Fatalf("seed %d epoch %d: plan diverged on link %d: incremental %d, cold rebuild %d",
-					seed, epoch, e, ri.Charged[e], rc.Charged[e])
+		for e := range rl.Charged {
+			if rl.Charged[e] != rr.Charged[e] {
+				t.Fatalf("seed %d epoch %d: plan diverged on link %d: live %d, restored %d",
+					seed, epoch, e, rl.Charged[e], rr.Charged[e])
 			}
+		}
+		if !reflect.DeepEqual(live.RelaxedGuide(0), restored.RelaxedGuide(0)) {
+			t.Fatalf("seed %d epoch %d: relaxation guide diverged", seed, epoch)
+		}
+		if live.LPCutShort() != restored.LPCutShort() {
+			t.Fatalf("seed %d epoch %d: cut-short mark diverged: live %v, restored %v",
+				seed, epoch, live.LPCutShort(), restored.LPCutShort())
 		}
 	}
 }
 
-// TestReplannerIncrementalMatchesColdRebuild is the differential parity
-// layer for the tentpole: over ≥100 randomized arrival traces, the
-// incremental replanner (persistent warm BLSession, appended-column
-// arrivals) and the from-scratch cold comparator must make identical
-// admit/reject decisions and report identical profit after every replan.
+// TestReplannerIncrementalMatchesColdRebuild is the restore
+// differential: over ≥100 randomized arrival traces, a long-lived
+// incremental replanner and one rebuilt cold from its durable state
+// before every replan must make identical admit/reject decisions and
+// report identical profit, plan and relaxation guide.
 func TestReplannerIncrementalMatchesColdRebuild(t *testing.T) {
 	traces := 100
 	if testing.Short() {
@@ -120,44 +164,47 @@ func TestReplannerParityFullScale(t *testing.T) {
 	}
 }
 
-// TestReplannerCycleWrapReset: Reset drops all cycle state and the next
-// replan starts a fresh cycle whose decisions again agree across modes.
+// TestReplannerCycleWrapReset: Reset drops all cycle state, so a reset
+// replanner decides the next cycle exactly like a fresh one.
 func TestReplannerCycleWrapReset(t *testing.T) {
 	net := wan.SubB4()
 	pool := requestPool(t, net, 40, 314)
 	cfg := Config{Theta: 2, Seed: 314}
-	inc := NewReplanner(net, 12, 3, cfg, ReplanIncremental)
-	cold := NewReplanner(net, 12, 3, cfg, ReplanColdRefine)
-	for _, rp := range []*Replanner{inc, cold} {
-		if err := rp.Observe(pool[:25]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rp.Replan(nil); err != nil {
-			t.Fatal(err)
-		}
-		rp.Reset()
-		if rp.NumObserved() != 0 || rp.NumPlanned() != 0 {
-			t.Fatalf("reset left state: observed %d planned %d", rp.NumObserved(), rp.NumPlanned())
-		}
+	reset := NewReplanner(net, 12, 3, cfg, ReplanIncremental)
+	fresh := NewReplanner(net, 12, 3, cfg, ReplanIncremental)
+	if err := reset.Observe(pool[:25]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reset.Replan(nil); err != nil {
+		t.Fatal(err)
+	}
+	reset.Reset()
+	if reset.NumObserved() != 0 || reset.NumPlanned() != 0 || reset.IncumbentChoices() != nil || reset.RelaxedGuide(0) != nil {
+		t.Fatalf("reset left state: observed %d planned %d", reset.NumObserved(), reset.NumPlanned())
+	}
+	for _, rp := range []*Replanner{reset, fresh} {
 		if err := rp.Observe(pool[25:]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	ri, err := inc.Replan(nil)
+	rr, err := reset.Replan(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := cold.Replan(nil)
+	rf, err := fresh.Replan(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < inc.NumObserved(); i++ {
-		if ri.Schedule.Choice(i) != rc.Schedule.Choice(i) {
+	for i := 0; i < reset.NumObserved(); i++ {
+		if rr.Schedule.Choice(i) != rf.Schedule.Choice(i) {
 			t.Fatalf("post-wrap decision diverged on request %d", i)
 		}
 	}
-	if ri.Profit != rc.Profit {
-		t.Fatalf("post-wrap profit diverged: %v vs %v", ri.Profit, rc.Profit)
+	if rr.Profit != rf.Profit {
+		t.Fatalf("post-wrap profit diverged: %v vs %v", rr.Profit, rf.Profit)
+	}
+	if !reflect.DeepEqual(reset.RelaxedGuide(0), fresh.RelaxedGuide(0)) {
+		t.Fatal("post-wrap relaxation guide diverged")
 	}
 }
 
@@ -219,111 +266,99 @@ func TestReplannerSnapshotRoundTrip(t *testing.T) {
 // TestReplannerSkipsLPAfterCutShort pins the cut-short rule: once a
 // refinement's LP stage expires, the rest of the billing cycle runs no
 // LP — later refinements return the better of the lifted incumbent and
-// its greedy extension, undegraded, and Observe stops growing the
-// session — until Reset re-arms the LP for the next cycle.
+// its greedy extension, undegraded — until Reset re-arms the LP for the
+// next cycle.
 func TestReplannerSkipsLPAfterCutShort(t *testing.T) {
 	net := wan.SubB4()
 	pool := requestPool(t, net, 60, 4711)
 	cfg := Config{Theta: 2, Seed: 4711}
-	for _, mode := range []ReplanMode{ReplanIncremental, ReplanColdRefine} {
-		rp := NewReplanner(net, 12, 3, cfg, mode)
-		if err := rp.Observe(pool[:20]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rp.Replan(nil); err != nil {
-			t.Fatal(err)
-		}
-		if rp.LPCutShort() {
-			t.Fatalf("mode %d: a replan without a deadline marked the cycle cut short", mode)
-		}
+	rp := NewReplanner(net, 12, 3, cfg, ReplanIncremental)
+	if err := rp.Observe(pool[:20]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rp.Replan(nil); err != nil {
+		t.Fatal(err)
+	}
+	if rp.LPCutShort() {
+		t.Fatal("a replan without a deadline marked the cycle cut short")
+	}
 
-		// Cut the next refinement short inside its first LP solve.
-		if err := rp.Observe(pool[20:30]); err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		fault.Enable("lp.solve", fault.Spec{Kind: fault.KindCancel, Cancel: cancel})
-		cut, err := rp.Replan(ctx)
-		fault.Reset()
-		cancel()
-		if err != nil {
-			t.Fatalf("mode %d: cut-short replan: %v", mode, err)
-		}
-		if !cut.Degraded || !rp.LPCutShort() {
-			t.Fatalf("mode %d: cut-short replan degraded=%v, mark=%v; want both", mode, cut.Degraded, rp.LPCutShort())
-		}
-		if rp.sess != nil {
-			t.Fatalf("mode %d: cut-short replan kept its BL session", mode)
-		}
-		prior := rp.IncumbentChoices()
+	// Cut the next refinement short inside its first LP solve.
+	if err := rp.Observe(pool[20:30]); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	fault.Enable("lp.solve", fault.Spec{Kind: fault.KindCancel, Cancel: cancel})
+	cut, err := rp.Replan(ctx)
+	fault.Reset()
+	cancel()
+	if err != nil {
+		t.Fatalf("cut-short replan: %v", err)
+	}
+	if !cut.Degraded || !rp.LPCutShort() {
+		t.Fatalf("cut-short replan degraded=%v, mark=%v; want both", cut.Degraded, rp.LPCutShort())
+	}
+	prior := rp.IncumbentChoices()
 
-		// Observe no longer feeds a session.
-		if err := rp.Observe(pool[30:45]); err != nil {
-			t.Fatal(err)
-		}
-		if rp.sess != nil {
-			t.Fatalf("mode %d: Observe rebuilt the session after the cycle was cut short", mode)
-		}
+	if err := rp.Observe(pool[30:45]); err != nil {
+		t.Fatal(err)
+	}
 
-		// Independent expectation: the better of the lifted-and-pruned
-		// incumbent and its pruned greedy extension.
-		inc := sched.NewSchedule(rp.inst)
-		for i, c := range prior {
-			if c != sched.Declined {
-				if err := inc.Assign(i, c); err != nil {
-					t.Fatal(err)
-				}
+	// Independent expectation: the better of the lifted-and-pruned
+	// incumbent and its pruned greedy extension.
+	inc := sched.NewSchedule(rp.inst)
+	for i, c := range prior {
+		if c != sched.Declined {
+			if err := inc.Assign(i, c); err != nil {
+				t.Fatal(err)
 			}
 		}
-		incProfit, buf := pruneUnprofitable(inc, nil)
-		ext := inc.Clone()
-		buf = greedyExtend(ext, buf)
-		extProfit, _ := pruneUnprofitable(ext, buf)
-		want, wantProfit := inc, incProfit
-		if extProfit > wantProfit {
-			want, wantProfit = ext, extProfit
-		}
+	}
+	incProfit, buf := pruneUnprofitable(inc, nil)
+	ext := inc.Clone()
+	buf = greedyExtend(ext, buf)
+	extProfit, _ := pruneUnprofitable(ext, buf)
+	want, wantProfit := inc, incProfit
+	if extProfit > wantProfit {
+		want, wantProfit = ext, extProfit
+	}
 
-		solves, skips := obs.Snapshot()["lp.solves"], cReplanLPSkips.Value()
-		got, err := rp.Replan(context.Background())
-		if err != nil {
-			t.Fatalf("mode %d: skipped replan: %v", mode, err)
+	solves, skips := obs.Snapshot()["lp.solves"], cReplanLPSkips.Value()
+	got, err := rp.Replan(context.Background())
+	if err != nil {
+		t.Fatalf("skipped replan: %v", err)
+	}
+	if d := obs.Snapshot()["lp.solves"] - solves; d != 0 {
+		t.Fatalf("replan after a cut-short one ran %v LP solves, want 0", d)
+	}
+	if d := cReplanLPSkips.Value() - skips; d != 1 {
+		t.Fatalf("core.replan.lp_skips moved by %d, want 1", d)
+	}
+	if got.Degraded {
+		t.Fatalf("skipped replan reported degraded (%v)", got.Cause)
+	}
+	if got.Profit != wantProfit {
+		t.Fatalf("skipped replan profit %.17g, want %.17g", got.Profit, wantProfit)
+	}
+	for i := 0; i < rp.NumObserved(); i++ {
+		if got.Schedule.Choice(i) != want.Choice(i) {
+			t.Fatalf("request %d on path %d, want %d", i, got.Schedule.Choice(i), want.Choice(i))
 		}
-		if d := obs.Snapshot()["lp.solves"] - solves; d != 0 {
-			t.Fatalf("mode %d: replan after a cut-short one ran %v LP solves, want 0", mode, d)
-		}
-		if d := cReplanLPSkips.Value() - skips; d != 1 {
-			t.Fatalf("mode %d: core.replan.lp_skips moved by %d, want 1", mode, d)
-		}
-		if got.Degraded {
-			t.Fatalf("mode %d: skipped replan reported degraded (%v)", mode, got.Cause)
-		}
-		if got.Profit != wantProfit {
-			t.Fatalf("mode %d: skipped replan profit %.17g, want %.17g", mode, got.Profit, wantProfit)
-		}
-		for i := 0; i < rp.NumObserved(); i++ {
-			if got.Schedule.Choice(i) != want.Choice(i) {
-				t.Fatalf("mode %d: request %d on path %d, want %d", mode, i, got.Schedule.Choice(i), want.Choice(i))
-			}
-		}
+	}
 
-		// The cycle wrap re-arms the LP.
-		rp.Reset()
-		if rp.LPCutShort() {
-			t.Fatalf("mode %d: Reset kept the cut-short mark", mode)
-		}
-		if err := rp.Observe(pool[45:]); err != nil {
-			t.Fatal(err)
-		}
-		solves = obs.Snapshot()["lp.solves"]
-		if _, err := rp.Replan(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if obs.Snapshot()["lp.solves"] == solves {
-			t.Fatalf("mode %d: first replan of a new cycle ran no LP", mode)
-		}
-		if mode == ReplanIncremental && rp.sess == nil {
-			t.Fatal("first replan of a new cycle built no session")
-		}
+	// The cycle wrap re-arms the LP.
+	rp.Reset()
+	if rp.LPCutShort() {
+		t.Fatal("Reset kept the cut-short mark")
+	}
+	if err := rp.Observe(pool[45:]); err != nil {
+		t.Fatal(err)
+	}
+	solves = obs.Snapshot()["lp.solves"]
+	if _, err := rp.Replan(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if obs.Snapshot()["lp.solves"] == solves {
+		t.Fatal("first replan of a new cycle ran no LP")
 	}
 }

@@ -30,7 +30,6 @@ var (
 	cDualColdBails  = obs.NewCounter("lp.pricing.dual_cold_bails", "dual cold starts that stalled and fell back to classic two-phase primal simplex")
 
 	cWarmAttempts  = obs.NewCounter("lp.warm.attempts", "warm solves attempted from a valid retained basis")
-	cWarmGrows     = obs.NewCounter("lp.warm.grows", "warm solves that absorbed appended columns/rows into the retained basis (AppendColumn growth) instead of falling back cold")
 	cWarmHits      = obs.NewCounter("lp.warm.hits", "warm solves completed by basis repair")
 	cWarmStale     = obs.NewCounter("lp.warm.stale", "warm attempts dropped because the basis was stale (matrix or shape changed)")
 	cWarmStalls    = obs.NewCounter("lp.warm.stalls", "warm repairs that stalled (iteration cap, numerical trouble, or accumulated drift)")

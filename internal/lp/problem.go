@@ -307,12 +307,4 @@ type Solution struct {
 	// Basis is the warm-start handle holding the final basis; it is the
 	// same handle passed via Options.Warm (nil when none was given).
 	Basis *Basis
-	// Degenerate reports that the optimum may not be a unique vertex: a
-	// movable nonbasic column priced out at (near-)zero reduced cost, so
-	// an alternative optimal basis with a different X can exist, and warm
-	// and cold solves are free to disagree on which vertex they return.
-	// Computed only for warm-capable optimal solves (Options.Warm != nil);
-	// always false otherwise. Consumers that need the exact vertex a cold
-	// solve would pick must re-solve cold when this is set.
-	Degenerate bool
 }

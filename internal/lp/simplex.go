@@ -511,7 +511,6 @@ func (p *Problem) solveCold(opts Options) *Solution {
 	if opts.Warm != nil {
 		opts.Warm.capture(p, s, sign)
 		sol.Basis = opts.Warm
-		sol.Degenerate = s.degenerateOptimum()
 	} else {
 		s.release()
 	}
@@ -628,8 +627,8 @@ func (s *simplex) refreshXB() {
 }
 
 // ensureLU (re)factors the basis when the factors are stale — a cloned
-// or grown handle, or after an update was refused. It reports false on
-// a numerically singular basis.
+// handle, or after an update was refused. It reports false on a
+// numerically singular basis.
 func (s *simplex) ensureLU() bool {
 	if s.lu.ok {
 		return true

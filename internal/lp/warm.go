@@ -160,17 +160,7 @@ func (p *Problem) solveWarm(opts Options) (*Solution, warmOutcome) {
 	nStruct := len(p.obj)
 	mat := p.matrixCSC()
 	if mat != w.matrix || nStruct != w.nStruct || len(p.rel) != w.m {
-		// Append-only growth (AppendColumn / empty ≤ rows) keeps the
-		// cached matrix object alive; absorb it into the retained basis
-		// instead of bailing cold. Any other shape change is stale.
-		if !w.growCompatible(p, mat, nStruct) {
-			return nil, warmStale
-		}
-		if !w.grow(p, mat, opts) {
-			w.invalidate()
-			return nil, warmStale
-		}
-		cWarmGrows.Inc()
+		return nil, warmStale
 	}
 	s := w.sx
 	s.opts = opts.withDefaults(s.m, nStruct)
@@ -207,8 +197,8 @@ func (p *Problem) solveWarm(opts Options) (*Solution, warmOutcome) {
 		}
 	}
 
-	// A cloned or grown handle carries the basic set but not the
-	// factors; rebuild them before the first FTRAN below.
+	// A cloned handle carries the basic set but not the factors;
+	// rebuild them before the first FTRAN below.
 	if !s.ensureLU() {
 		w.invalidate()
 		return nil, warmStall
@@ -272,33 +262,7 @@ func (p *Problem) solveWarm(opts Options) (*Solution, warmOutcome) {
 	sol := p.extract(s, sign, shiftObj)
 	sol.Warm = true
 	sol.Basis = w
-	sol.Degenerate = s.degenerateOptimum()
 	return sol, warmHit
-}
-
-// degenerateOptimum reports whether the current optimal basis admits an
-// alternative optimum: some movable nonbasic column prices out at
-// (near-)zero reduced cost, so pivoting it in would move to a different
-// vertex of equal objective. Callers use this to tell "warm and cold
-// must agree on X (unique vertex)" apart from "only the objective is
-// pinned".
-func (s *simplex) degenerateOptimum() bool {
-	if s.y == nil {
-		s.y = make([]float64, s.m)
-		s.w = make([]float64, s.m)
-	}
-	y := s.y
-	s.computeDuals(s.cost, y)
-	tol := s.opts.Tol
-	for j := 0; j < s.n; j++ {
-		if s.state[j] == isBasic || s.up[j] == 0 {
-			continue
-		}
-		if math.Abs(s.reducedCost(s.cost, j, y)) <= tol {
-			return true
-		}
-	}
-	return false
 }
 
 // primalFeasible reports whether every basic value lies within its

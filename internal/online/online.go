@@ -327,9 +327,9 @@ type ProvisionedTAA struct {
 	// With a guide the internal LP relaxation solve is skipped — TAA's
 	// estimator walk runs off the supplied weights, and its hard
 	// feasibility filter keeps the output feasible regardless of the
-	// guide's quality. The metis policies hand their persistent replan
-	// model's relaxation here, which removes the dominant per-batch cost
-	// (the cold LP) from the admission path.
+	// guide's quality. metis-incremental hands its last replan
+	// relaxation here, which removes the dominant per-batch cost (the
+	// cold LP) from the admission path.
 	Guide [][]float64
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"time"
 
 	"metis/internal/demand"
 	"metis/internal/wal"
@@ -244,12 +245,16 @@ func (s *Server) RecoverWAL() (RecoverStats, error) {
 	return st, nil
 }
 
-// recoverArrival re-queues one logged arrival. Arrivals the restored
-// snapshot already carries (their decision record exists) are skipped —
-// never enqueue an acked request twice.
+// recoverArrival re-queues one logged arrival, its queue wait counted
+// from recovery. Arrivals the restored snapshot already carries (their
+// decision record exists) are skipped — never enqueue an acked request
+// twice.
 func (s *Server) recoverArrival(a walArrival, st *RecoverStats) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if a.ID < 1 {
+		return fmt.Errorf("serve: wal arrival id %d out of range", a.ID)
+	}
 	if a.ID >= s.nextID.Load() {
 		s.nextID.Store(a.ID + 1)
 	}
@@ -269,7 +274,7 @@ func (s *Server) recoverArrival(a walArrival, st *RecoverStats) error {
 	ds.mu.Unlock()
 	sh := &s.shards[int(a.ID)%intakeShards]
 	sh.mu.Lock()
-	sh.queue = append(sh.queue, pending{id: a.ID, req: a.Req})
+	sh.queue = append(sh.queue, pending{id: a.ID, req: a.Req, at: time.Now()})
 	sh.mu.Unlock()
 	s.queueDepth.Add(1)
 	if a.ID < s.pruneFrom {

@@ -22,7 +22,7 @@ import (
 )
 
 // genPool builds k valid requests on net for the serve tests.
-func genPool(t *testing.T, net *wan.Network, k int, seed int64) []demand.Request {
+func genPool(t testing.TB, net *wan.Network, k int, seed int64) []demand.Request {
 	t.Helper()
 	g, err := demand.NewGenerator(net, demand.DefaultGeneratorConfig(seed))
 	if err != nil {
@@ -39,7 +39,7 @@ func genPool(t *testing.T, net *wan.Network, k int, seed int64) []demand.Request
 }
 
 // incrementalPolicy builds a metis-incremental policy for tests.
-func incrementalPolicy(t *testing.T, replanEvery int) Policy {
+func incrementalPolicy(t testing.TB, replanEvery int) Policy {
 	t.Helper()
 	p, err := NewPolicy("metis-incremental", nil, replanEvery, core.Config{Theta: 2, Seed: 11})
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 
 	"metis/internal/demand"
 	"metis/internal/sched"
+	"metis/internal/spm"
 	"metis/internal/wan"
 )
 
@@ -286,20 +287,34 @@ func (l *Ledger) snap() LedgerImage {
 	return LedgerImage{Slots: l.slots, Purchased: l.Purchased(), Loads: l.Loads(), Committed: l.Committed()}
 }
 
-// restoreLedger rebuilds a ledger from its wire form, keeping the
-// receiver's prices. Shapes must match the receiver's network.
-func (l *Ledger) restore(s LedgerImage) error {
+// checkImage validates a wire-form ledger against the receiver without
+// touching it: the shape must match the receiver's network and cycle,
+// and the committed state must pass spm.CheckLedger.
+func (l *Ledger) checkImage(s LedgerImage) error {
 	if s.Slots != l.slots {
-		return fmt.Errorf("serve: snapshot has %d slots, ledger has %d", s.Slots, l.slots)
+		return badSnapshot("ledger.slots", "%d slots, ledger has %d", s.Slots, l.slots)
 	}
 	if len(s.Purchased) != len(l.purchased) || len(s.Loads) != len(l.loads) {
-		return fmt.Errorf("serve: snapshot has %d links, ledger has %d", len(s.Purchased), len(l.purchased))
+		return badSnapshot("ledger", "%d purchase entries and %d load rows, ledger has %d links", len(s.Purchased), len(s.Loads), len(l.purchased))
 	}
 	for e := range s.Loads {
 		if len(s.Loads[e]) != l.slots {
-			return fmt.Errorf("serve: snapshot loads[%d] has %d slots, want %d", e, len(s.Loads[e]), l.slots)
+			return badSnapshot(fmt.Sprintf("ledger.loads[%d]", e), "%d slots, want %d", len(s.Loads[e]), l.slots)
 		}
 	}
+	if s.Committed < 0 {
+		return badSnapshot("ledger.committed", "negative count %d", s.Committed)
+	}
+	if err := spm.CheckLedger(s.Loads, s.Purchased); err != nil {
+		return badSnapshot("ledger", "%v", err)
+	}
+	return nil
+}
+
+// restore overwrites the ledger with a wire-form image of the same
+// shape (one that passed checkImage, or another ledger's snap), keeping
+// the receiver's prices.
+func (l *Ledger) restore(s LedgerImage) {
 	for e := range s.Loads {
 		l.stripes[e].Lock()
 		l.purchased[e] = s.Purchased[e]
@@ -307,5 +322,4 @@ func (l *Ledger) restore(s LedgerImage) error {
 		l.stripes[e].Unlock()
 	}
 	l.committed.Store(int64(s.Committed))
-	return nil
 }

@@ -41,8 +41,10 @@ type Policy interface {
 //	taa                — per-epoch TAA admission into a fixed provisioned plan
 //	metis              — periodic full Metis re-solve over the cycle's observed
 //	                     workload to (re)plan capacity, TAA admission in between
-//	metis-incremental  — same contract, but replans refine a persistent
-//	                     warm model instead of re-solving from scratch
+//	metis-incremental  — same contract, but each replan runs one
+//	                     refinement round of the carried incumbent (greedy
+//	                     extension, cold BL relaxation, TAA) instead of
+//	                     the full alternation
 //
 // plan provisions the taa policy (units per link; nil means admit only
 // into capacity bought by earlier epochs). replanEvery is the metis
@@ -154,12 +156,13 @@ func (p *TAAPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Instanc
 //
 //   - core.ReplanFull re-solves the full Metis alternation from scratch
 //     each time (the original policy behavior).
-//   - core.ReplanIncremental keeps a persistent warm model across
-//     epochs: arrivals fold into the live spm.BLSession as appended
-//     columns, the warm lp.Basis survives between replans, and each
-//     replan runs one incumbent-refinement round instead of a cold
-//     alternation. Model-shape incompatibilities and solver errors fall
-//     back to a cold full solve (the fallback-ladder discipline).
+//   - core.ReplanIncremental carries the incumbent schedule across
+//     epochs and runs one refinement round per replan instead of the
+//     full alternation: a greedy extension over the arrivals, then a
+//     cold BL relaxation of the observed workload rounded by TAA. The
+//     relaxation also guides admission between replans. A refinement
+//     LP error falls back to a full solve (the fallback-ladder
+//     discipline).
 //
 // Replans run under the epoch's tick deadline: an overrun degrades to
 // the best incumbent found so far instead of stalling the tick loop,
@@ -261,9 +264,9 @@ func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Insta
 	}
 	adm := online.ProvisionedTAA{Plan: plan}
 	if p.Mode == core.ReplanIncremental {
-		// The persistent model's relaxation already prices every observed
-		// request — including this batch, observed above — against the
-		// cycle plan. Handing it to admission skips the per-batch cold LP
+		// The last refinement's relaxation already prices every request it
+		// covered against the cycle plan. Handing it to admission skips
+		// the per-batch cold LP
 		// (the dominant tick cost at saturation). Positions the
 		// relaxation has not covered yet (arrivals since the last
 		// refinement, or a whole cycle right after a wrap) get zero
@@ -290,10 +293,10 @@ func millisSince(t time.Time) float64 {
 }
 
 // PolicyState is the snapshot image of the metis policies' cycle state:
-// the observed workload, the incumbent schedule's path choices, and the
-// adopted capacity plan. It is enough to rebuild the persistent replan
-// model deterministically on restore — the warm LP factorization itself
-// is a cache and is rebuilt on the first post-restore replan.
+// the observed workload, the incumbent schedule's path choices, the
+// last relaxation, the cut-short mark and the adopted capacity plan.
+// That is the replanner's whole state — it keeps no solver cache — so a
+// restored policy decides exactly as the uninterrupted one would.
 type PolicyState struct {
 	Name       string           `json:"name"`
 	Seen       []demand.Request `json:"seen,omitempty"`
@@ -302,9 +305,10 @@ type PolicyState struct {
 	Plan       []int            `json:"plan,omitempty"`
 	HavePlan   bool             `json:"havePlan,omitempty"`
 	LastReplan int              `json:"lastReplan,omitempty"`
-	// RelaxedX is the persistent model's last relaxation, aligned to
-	// Seen. It guides the admission pass, so it must survive restore for
-	// post-restore decisions to match an uninterrupted run exactly.
+	// RelaxedX is the last refinement's relaxation, aligned to Seen
+	// (nil rows for requests it did not cover). It guides the admission
+	// pass, so it must survive restore for post-restore decisions to
+	// match an uninterrupted run exactly.
 	RelaxedX [][]float64 `json:"relaxedX,omitempty"`
 	// LPCutShort marks a cycle whose replan LP missed its budget: later
 	// replans of the cycle skip the LP (core.Replanner.LPCutShort).
@@ -312,7 +316,8 @@ type PolicyState struct {
 }
 
 // statefulPolicy is implemented by policies whose cycle state must
-// survive snapshot/restore.
+// survive snapshot/restore. restorePolicyState installs st only when
+// it fits; otherwise it returns a *SnapshotError and changes nothing.
 type statefulPolicy interface {
 	policyState() *PolicyState
 	restorePolicyState(st *PolicyState, net *wan.Network, slots int) error
@@ -322,9 +327,10 @@ type statefulPolicy interface {
 // recovery: ticks are *redone* from their logged outcomes (a budget-cut
 // replan is not reproducible from inputs), so the policy catches up by
 // observing each replayed batch and adopting the logged plan delta.
-// After replay the decision-relevant state (seen workload, plan, replan
-// clock) matches the live run; the warm incumbent/relaxation are caches
-// the next replan rebuilds.
+// After replay the seen workload, plan, replan clock and cut-short mark
+// match the live run. The incumbent and the relaxation guide are not in
+// the redo record; metis-incremental recovers them only from a
+// snapshot, so its bit-identical failover needs per-op snapshots.
 type replayPolicy interface {
 	observeReplay(net *wan.Network, slots int, batch []demand.Request) error
 	applyReplayDelta(d *walPolicyDelta)
@@ -387,15 +393,17 @@ func (p *MetisPolicy) restorePolicyState(st *PolicyState, net *wan.Network, slot
 	rp := core.NewReplanner(net, slots, sched.DefaultPathsPerRequest, p.Config, p.Mode)
 	if len(st.Seen) > 0 {
 		if err := rp.Observe(st.Seen); err != nil {
-			return fmt.Errorf("serve: restore policy state: %w", err)
+			return badSnapshot("policy.seen", "%v", err)
 		}
 	}
 	if st.Incumbent != nil {
 		if err := rp.RestoreIncumbent(st.Incumbent, st.Planned); err != nil {
-			return fmt.Errorf("serve: restore policy state: %w", err)
+			return badSnapshot("policy.incumbent", "%v", err)
 		}
 	}
-	rp.RestoreRelaxedGuide(st.RelaxedX)
+	if err := rp.RestoreRelaxedGuide(st.RelaxedX); err != nil {
+		return badSnapshot("policy.relaxedX", "%v", err)
+	}
 	rp.RestoreLPCutShort(st.LPCutShort)
 	p.rp = rp
 	p.plan = append([]int(nil), st.Plan...)

@@ -383,14 +383,8 @@ func (s *Server) LedgerCopy() *Ledger {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cp := NewLedger(s.cfg.Net, s.cfg.Slots)
-	cp.restoreMust(s.led.snap())
+	cp.restore(s.led.snap())
 	return cp
-}
-
-func (l *Ledger) restoreMust(snap LedgerImage) {
-	if err := l.restore(snap); err != nil {
-		panic("serve: ledger copy: " + err.Error())
-	}
 }
 
 // ErrDraining is returned by Submit once drain has begun.

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"time"
 
 	"metis/internal/demand"
 	"metis/internal/fsx"
@@ -21,9 +22,9 @@ const SnapshotVersion = 3
 // Snapshot is the JSON crash-recovery image of a Server: the committed
 // ledger plus every queued-but-undecided arrival, with enough daemon
 // time (epoch, next id) to resume exactly where the process stopped,
-// and — for the metis policies — the cycle state needed to rebuild the
-// persistent replan model deterministically. Decision history is
-// observability, not ledger state, and is not persisted.
+// and — for the metis policies — the replanner's cycle state
+// (PolicyState). Decision history is observability, not ledger state,
+// and is not persisted.
 type Snapshot struct {
 	Version int    `json:"version"`
 	Network string `json:"network"`
@@ -131,6 +132,27 @@ func (s *Server) SnapshotFile(path string) error {
 	})
 }
 
+// SnapshotError reports a snapshot image that decodes but describes a
+// state the server cannot hold: a topology or cycle mismatch, a ledger
+// failing spm.CheckLedger, a queue id outside [1, nextId), policy state
+// that does not fit the network or its own workload. Restore returns
+// it before touching any server state.
+type SnapshotError struct {
+	Field string // the offending image field, e.g. "queue[3].id"
+	Msg   string
+}
+
+func (e *SnapshotError) Error() string { return "serve: snapshot " + e.Field + ": " + e.Msg }
+
+// maxSnapshotCounter bounds the image's epoch and next id: well past
+// any real daemon's lifetime, and far enough from MaxInt64 that the
+// counters cannot overflow once the restored server ticks on.
+const maxSnapshotCounter = 1 << 53
+
+func badSnapshot(field, format string, args ...any) error {
+	return &SnapshotError{Field: field, Msg: fmt.Sprintf(format, args...)}
+}
+
 // Restore loads a snapshot into a freshly constructed server. It must
 // run before the first Submit or Tick; restoring onto a server that has
 // already accepted state is an error. The snapshot's topology
@@ -139,6 +161,11 @@ func (s *Server) SnapshotFile(path string) error {
 // policy matches the snapshot's (same name); a mismatch — the operator
 // switched policies across the restart — drops the state and lets the
 // new policy rebuild its plan from the re-queued arrivals.
+//
+// The whole image is validated before anything is installed: a
+// rejected image returns a *SnapshotError (or a decode error) and
+// leaves the server exactly as it was. Re-queued arrivals count their
+// queue wait from the restore, not from their original submission.
 func (s *Server) Restore(r io.Reader) error {
 	var snap Snapshot
 	dec := json.NewDecoder(r)
@@ -147,14 +174,14 @@ func (s *Server) Restore(r io.Reader) error {
 		return fmt.Errorf("serve: decode snapshot: %w", err)
 	}
 	if snap.Version < 1 || snap.Version > SnapshotVersion {
-		return fmt.Errorf("serve: snapshot version %d, want 1..%d", snap.Version, SnapshotVersion)
+		return badSnapshot("version", "%d, want 1..%d", snap.Version, SnapshotVersion)
 	}
 	if snap.Network != s.cfg.Net.Name() || snap.Links != s.cfg.Net.NumLinks() {
-		return fmt.Errorf("serve: snapshot is for network %q (%d links), server runs %q (%d links)",
+		return badSnapshot("network", "image is for %q (%d links), server runs %q (%d links)",
 			snap.Network, snap.Links, s.cfg.Net.Name(), s.cfg.Net.NumLinks())
 	}
 	if snap.Slots != s.cfg.Slots {
-		return fmt.Errorf("serve: snapshot has %d slots, server runs %d", snap.Slots, s.cfg.Slots)
+		return badSnapshot("slots", "image has %d slots, server runs %d", snap.Slots, s.cfg.Slots)
 	}
 
 	s.mu.Lock()
@@ -162,9 +189,21 @@ func (s *Server) Restore(r io.Reader) error {
 	if s.epoch != 0 || s.nextID.Load() != 1 || s.queueDepth.Load() != 0 {
 		return fmt.Errorf("serve: restore onto a server that already has state")
 	}
-	if err := s.led.restore(snap.Ledger); err != nil {
+	if err := s.checkSnapshot(&snap); err != nil {
 		return err
 	}
+	// The policy state is the last fallible step and installs only on
+	// success; nothing after it can fail.
+	if snap.Policy != nil {
+		if sp, ok := s.cfg.Policy.(statefulPolicy); ok && snap.Policy.Name == s.cfg.Policy.Name() {
+			if err := sp.restorePolicyState(snap.Policy, s.cfg.Net, s.cfg.Slots); err != nil {
+				return err
+			}
+			s.policyImage = snap.Policy
+		}
+	}
+
+	s.led.restore(snap.Ledger)
 	s.epoch = snap.Epoch
 	s.nextID.Store(snap.NextID)
 	s.pruneFrom = snap.NextID
@@ -174,26 +213,61 @@ func (s *Server) Restore(r io.Reader) error {
 	if snap.WAL != nil {
 		s.walFrom = *snap.WAL
 	}
+	// Decision records start at the oldest queued id, but never before
+	// the retention window: the tick's pruning walks ids one by one from
+	// pruneFrom, and a queued id far behind nextId would make it walk the
+	// whole gap.
+	floor := snap.NextID - int64(s.cfg.DecisionRetention)
+	now := time.Now()
 	for _, q := range snap.Queue {
-		if err := q.Request.Validate(s.cfg.Net, s.cfg.Slots); err != nil {
-			return fmt.Errorf("serve: snapshot queue entry %d: %w", q.ID, err)
-		}
 		sh := &s.shards[int(q.ID)%intakeShards]
-		sh.queue = append(sh.queue, pending{id: q.ID, req: q.Request})
+		sh.queue = append(sh.queue, pending{id: q.ID, req: q.Request, at: now})
 		ds := s.dshard(q.ID)
 		ds.m[q.ID] = &Decision{ID: q.ID, Status: StatusQueued, Request: q.Request}
-		if q.ID < s.pruneFrom {
-			s.pruneFrom = q.ID
-		}
+		s.pruneFrom = min(s.pruneFrom, max(q.ID, floor))
 	}
 	s.queueDepth.Store(int64(len(snap.Queue)))
 	gQueueDepth.Set(int64(len(snap.Queue)))
-	if snap.Policy != nil {
-		if sp, ok := s.cfg.Policy.(statefulPolicy); ok && snap.Policy.Name == s.cfg.Policy.Name() {
-			if err := sp.restorePolicyState(snap.Policy, s.cfg.Net, s.cfg.Slots); err != nil {
-				return err
-			}
-			s.policyImage = snap.Policy
+	return nil
+}
+
+// checkSnapshot validates the parts of a decoded image that Restore
+// installs directly: counters, ledger, queue, and — when the configured
+// policy will adopt it — the capacity plan. The replanner validates the
+// rest of the policy state (workload, incumbent, guide) as it rebuilds.
+func (s *Server) checkSnapshot(snap *Snapshot) error {
+	if snap.Epoch < 0 || snap.Epoch > maxSnapshotCounter {
+		return badSnapshot("epoch", "%d out of range [0, %d]", snap.Epoch, maxSnapshotCounter)
+	}
+	if snap.NextID < 1 || snap.NextID > maxSnapshotCounter {
+		return badSnapshot("nextId", "%d out of range [1, %d]", snap.NextID, maxSnapshotCounter)
+	}
+	if err := s.led.checkImage(snap.Ledger); err != nil {
+		return err
+	}
+	seen := make(map[int64]bool, len(snap.Queue))
+	for k, q := range snap.Queue {
+		if q.ID < 1 || q.ID >= snap.NextID {
+			return badSnapshot(fmt.Sprintf("queue[%d].id", k), "%d out of range [1, %d)", q.ID, snap.NextID)
+		}
+		if seen[q.ID] {
+			return badSnapshot(fmt.Sprintf("queue[%d].id", k), "duplicate id %d", q.ID)
+		}
+		seen[q.ID] = true
+		if err := q.Request.Validate(s.cfg.Net, s.cfg.Slots); err != nil {
+			return badSnapshot(fmt.Sprintf("queue[%d].request", k), "%v", err)
+		}
+	}
+	ps := snap.Policy
+	if ps == nil || ps.Name != s.cfg.Policy.Name() {
+		return nil
+	}
+	if len(ps.Plan) != 0 && len(ps.Plan) != s.cfg.Net.NumLinks() {
+		return badSnapshot("policy.plan", "%d entries, want one per link (%d)", len(ps.Plan), s.cfg.Net.NumLinks())
+	}
+	for e, u := range ps.Plan {
+		if u < 0 {
+			return badSnapshot(fmt.Sprintf("policy.plan[%d]", e), "negative units %d", u)
 		}
 	}
 	return nil

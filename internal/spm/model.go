@@ -100,10 +100,9 @@ func (m *RLModel) SolveSubset(subset []int) (*RelaxedRL, error) {
 		return nil, fmt.Errorf("spm: relaxed RL-SPM: %v", sol.Status)
 	}
 	res := &RelaxedRL{
-		X:         extractSubsetX(sol.X, m.xCols, subset),
-		C:         make([]float64, len(m.cCols)),
-		Cost:      sol.Objective,
-		Ambiguous: sol.Degenerate,
+		X:    extractSubsetX(sol.X, m.xCols, subset),
+		C:    make([]float64, len(m.cCols)),
+		Cost: sol.Objective,
 	}
 	for e, col := range m.cCols {
 		res.C[e] = sol.X[col]
@@ -254,9 +253,8 @@ func (m *BLModel) SolveSubset(subset []int, caps []int) (*RelaxedBL, error) {
 		return nil, fmt.Errorf("spm: relaxed BL-SPM: %v", sol.Status)
 	}
 	return &RelaxedBL{
-		X:         extractSubsetX(sol.X, m.xCols, subset),
-		Revenue:   sol.Objective,
-		Ambiguous: sol.Degenerate,
+		X:       extractSubsetX(sol.X, m.xCols, subset),
+		Revenue: sol.Objective,
 	}, nil
 }
 

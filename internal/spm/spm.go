@@ -28,11 +28,6 @@ type RelaxedRL struct {
 	C []float64
 	// Cost is the optimal relaxed bandwidth cost Σ_e u_e·C[e].
 	Cost float64
-	// Ambiguous reports that the LP admits alternative optimal vertices
-	// (set only by the incremental RLModel): the objective is exact but X
-	// may differ from what a cold sub-instance solve would return, so
-	// consumers that replay cold behavior bit-for-bit should re-solve.
-	Ambiguous bool
 }
 
 // SolveRLRelaxation solves the relaxed RL-SPM for inst: every request
@@ -103,11 +98,6 @@ type RelaxedBL struct {
 	X [][]float64
 	// Revenue is the optimal relaxed service revenue.
 	Revenue float64
-	// Ambiguous reports that the LP admits alternative optimal vertices
-	// (set only by the incremental BLModel): the objective is exact but X
-	// may differ from what a cold sub-instance solve would return, so
-	// consumers that replay cold behavior bit-for-bit should re-solve.
-	Ambiguous bool
 }
 
 // SolveBLRelaxation solves the relaxed BL-SPM for inst under the given

@@ -69,8 +69,9 @@ func NewServer(cfg ServeConfig) (*Server, error) { return serve.New(cfg) }
 // buy-as-you-go), "taa" (per-epoch TAA admission into plan), "metis"
 // (periodic full re-solve every replanEvery epochs under cfg, TAA
 // admission in between), or "metis-incremental" (same contract, but
-// replans refine a persistent warm model instead of re-solving from
-// scratch).
+// each replan runs one refinement round of the carried incumbent
+// instead of the full alternation, and admission rides that round's
+// relaxation).
 func NewServePolicy(name string, plan []int, replanEvery int, cfg Config) (ServePolicy, error) {
 	return serve.NewPolicy(name, plan, replanEvery, cfg)
 }
