@@ -156,6 +156,26 @@ func benchInstance(b *testing.B, k int) *metis.Instance {
 	return inst
 }
 
+// BenchmarkNewInstanceK1000 builds benchInstance's K=1000 instance on
+// one network per run, as metisd builds a batch instance every tick:
+// after the first iteration every candidate path set comes from the
+// network's memo, so ns/op and allocs/op are the per-tick instance
+// cost (validation plus path-set lookups), not Yen's algorithm.
+func BenchmarkNewInstanceK1000(b *testing.B) {
+	net := metis.B4()
+	reqs, err := metis.GenerateWorkload(net, 1000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := metis.NewInstance(net, metis.DefaultSlots, reqs, metis.DefaultPathsPerRequest); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMetisSolveK100(b *testing.B) {
 	inst := benchInstance(b, 100)
 	b.ResetTimer()

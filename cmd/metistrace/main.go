@@ -108,7 +108,7 @@ func run(args []string, w io.Writer) error {
 // lack the status/elapsed fields; their columns come out empty or zero.
 func epochsTable(recs []obs.WireRecord) *tableio.Table {
 	t := tableio.New("Service epochs",
-		"epoch", "slot", "policy", "status", "batch", "accepted", "rejected", "shed", "queue", "elapsed_ms", "replan_ms", "replan_skips", "budget_ms")
+		"epoch", "slot", "policy", "status", "batch", "accepted", "rejected", "shed", "queue", "instance_ms", "observe_ms", "elapsed_ms", "replan_ms", "replan_skips", "budget_ms")
 	n := 0
 	for i := range recs {
 		r := &recs[i]
@@ -126,6 +126,8 @@ func epochsTable(recs []obs.WireRecord) *tableio.Table {
 			strconv.Itoa(int(r.FieldFloat("rejected"))),
 			strconv.Itoa(int(r.FieldFloat("shed"))),
 			strconv.Itoa(int(r.FieldFloat("queue_depth"))),
+			tableio.FormatFloat(r.FieldFloat("instance_ms")),
+			tableio.FormatFloat(r.FieldFloat("observe_ms")),
 			tableio.FormatFloat(r.FieldFloat("elapsed_ms")),
 			tableio.FormatFloat(r.FieldFloat("replan_ms")),
 			strconv.Itoa(int(r.FieldFloat("replan_skips"))),

@@ -142,10 +142,10 @@ this line is not json
 }
 
 // TestEpochsTableReplanColumns: the epochs table splits out each tick's
-// replan time and LP-skipping replans.
+// instance-build, observe and replan time and LP-skipping replans.
 func TestEpochsTableReplanColumns(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "daemon.jsonl")
-	trace := `{"kind":"span","name":"serve.epoch","dur_us":9000,"fields":{"epoch":4,"slot":4,"policy":"metis-incremental","status":"ok","batch":500,"accepted":120,"rejected":380,"shed":0,"queue_depth":0,"elapsed_ms":9,"replan_ms":5.25,"replan_skips":1,"budget_ms":95}}
+	trace := `{"kind":"span","name":"serve.epoch","dur_us":9000,"fields":{"epoch":4,"slot":4,"policy":"metis-incremental","status":"ok","batch":500,"accepted":120,"rejected":380,"shed":0,"queue_depth":0,"instance_ms":0.5,"observe_ms":0.75,"elapsed_ms":9,"replan_ms":5.25,"replan_skips":1,"budget_ms":95}}
 `
 	if err := os.WriteFile(path, []byte(trace), 0o644); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,10 @@ func TestEpochsTableReplanColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"elapsed_ms,replan_ms,replan_skips,budget_ms", ",9,5.25,1,95"} {
+	for _, want := range []string{
+		"elapsed_ms,replan_ms,replan_skips,budget_ms", ",9,5.25,1,95",
+		"queue,instance_ms,observe_ms,elapsed_ms", ",0,0.5,0.75,9,",
+	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("epochs table missing %q:\n%s", want, got)
 		}

@@ -105,7 +105,7 @@ func (rp *Replanner) Observe(reqs []demand.Request) error {
 	if rp.inst == nil {
 		rp.inst, err = sched.NewInstance(rp.net, rp.slots, reqs, rp.paths)
 	} else {
-		rp.inst, err = rp.inst.Extend(reqs, rp.paths)
+		rp.inst, err = rp.inst.Extend(reqs)
 	}
 	if err != nil {
 		return fmt.Errorf("core: replanner observe: %w", err)

@@ -18,9 +18,14 @@ const DefaultPathsPerRequest = 3
 
 // Instance is one SPM problem instance: the network, the billing cycle
 // length, the requests of the cycle, and each request's candidate paths.
+//
+// Candidate path sets come from wan.Network.Paths and are shared: every
+// request with the same (src, dst) pair, in this instance and in every
+// other instance on the same network, holds the same read-only slice.
 type Instance struct {
 	net   *wan.Network
 	slots int
+	k     int // candidate path-set size the paths were enumerated with
 	reqs  []demand.Request
 	paths [][]wan.Path // paths[i] = candidate paths of reqs[i]
 }
@@ -37,69 +42,51 @@ func NewInstance(net *wan.Network, slots int, reqs []demand.Request, pathsPerReq
 	if err := demand.ValidateAll(reqs, net, slots); err != nil {
 		return nil, err
 	}
-
-	// Path sets depend only on the (src, dst) pair; memoize.
-	cache := make(map[[2]int][]wan.Path)
-	paths := make([][]wan.Path, len(reqs))
-	for i, r := range reqs {
-		key := [2]int{r.Src, r.Dst}
-		ps, ok := cache[key]
-		if !ok {
-			var err error
-			ps, err = net.Paths(r.Src, r.Dst, pathsPerRequest)
-			if err != nil {
-				return nil, fmt.Errorf("sched: request %d: %w", r.ID, err)
-			}
-			cache[key] = ps
-		}
-		paths[i] = ps
+	in := &Instance{net: net, slots: slots, k: pathsPerRequest}
+	paths, err := in.appendPaths(make([][]wan.Path, 0, len(reqs)), reqs)
+	if err != nil {
+		return nil, err
 	}
-	return &Instance{
-		net:   net,
-		slots: slots,
-		reqs:  append([]demand.Request(nil), reqs...),
-		paths: paths,
-	}, nil
+	in.reqs, in.paths = append([]demand.Request(nil), reqs...), paths
+	return in, nil
 }
 
 // Extend returns a new instance with reqs appended after this
 // instance's requests, enumerating candidate paths for the newcomers
-// exactly as NewInstance would. Path enumeration is deterministic in
-// the (src, dst) pair, so Extend(a).Extend(b) and NewInstance(a++b)
-// describe identical instances regardless of how arrivals were
-// batched — the property the incremental replanner's differential
-// tests lean on. The receiver is not modified; prefix request and
-// path storage is shared.
-func (in *Instance) Extend(reqs []demand.Request, pathsPerRequest int) (*Instance, error) {
+// exactly as NewInstance would (same path-set size). Path sets are
+// deterministic in the (src, dst) pair, so Extend(a).Extend(b) and
+// NewInstance(a++b) describe identical instances regardless of how
+// arrivals were batched — the property the incremental replanner's
+// differential tests lean on. The receiver is not modified; prefix
+// request and path storage is shared.
+func (in *Instance) Extend(reqs []demand.Request) (*Instance, error) {
 	if len(reqs) == 0 {
 		return in, nil
-	}
-	if pathsPerRequest <= 0 {
-		return nil, fmt.Errorf("sched: pathsPerRequest %d must be positive", pathsPerRequest)
 	}
 	if err := demand.ValidateAll(reqs, in.net, in.slots); err != nil {
 		return nil, err
 	}
-	cache := make(map[[2]int][]wan.Path)
 	paths := make([][]wan.Path, 0, len(in.paths)+len(reqs))
-	paths = append(paths, in.paths...)
-	for _, r := range reqs {
-		key := [2]int{r.Src, r.Dst}
-		ps, ok := cache[key]
-		if !ok {
-			var err error
-			ps, err = in.net.Paths(r.Src, r.Dst, pathsPerRequest)
-			if err != nil {
-				return nil, fmt.Errorf("sched: request %d: %w", r.ID, err)
-			}
-			cache[key] = ps
-		}
-		paths = append(paths, ps)
+	paths, err := in.appendPaths(append(paths, in.paths...), reqs)
+	if err != nil {
+		return nil, err
 	}
 	all := make([]demand.Request, 0, len(in.reqs)+len(reqs))
 	all = append(all, in.reqs...)
 	all = append(all, reqs...)
-	return &Instance{net: in.net, slots: in.slots, reqs: all, paths: paths}, nil
+	return &Instance{net: in.net, slots: in.slots, k: in.k, reqs: all, paths: paths}, nil
+}
+
+// appendPaths appends the candidate path set of each of reqs to paths.
+func (in *Instance) appendPaths(paths [][]wan.Path, reqs []demand.Request) ([][]wan.Path, error) {
+	for _, r := range reqs {
+		ps, err := in.net.Paths(r.Src, r.Dst, in.k)
+		if err != nil {
+			return nil, fmt.Errorf("sched: request %d: %w", r.ID, err)
+		}
+		paths = append(paths, ps)
+	}
+	return paths, nil
 }
 
 // Network returns the instance's WAN.
@@ -107,6 +94,10 @@ func (in *Instance) Network() *wan.Network { return in.net }
 
 // Slots returns the billing cycle length.
 func (in *Instance) Slots() int { return in.slots }
+
+// PathsPerRequest returns the candidate path-set size the instance's
+// paths were enumerated with.
+func (in *Instance) PathsPerRequest() int { return in.k }
 
 // NumRequests returns the number of requests.
 func (in *Instance) NumRequests() int { return len(in.reqs) }
@@ -124,7 +115,10 @@ func (in *Instance) Requests() []demand.Request {
 // NumPaths returns the number of candidate paths of request i.
 func (in *Instance) NumPaths(i int) int { return len(in.paths[i]) }
 
-// Path returns candidate path j of request i.
+// Path returns candidate path j of request i. The path's Links slice
+// is shared with every instance on the same network (see
+// wan.Network.Paths) and must not be modified; copy it before
+// editing it.
 func (in *Instance) Path(i, j int) wan.Path { return in.paths[i][j] }
 
 // Subset returns a new instance over the requests whose indices are in
@@ -140,7 +134,7 @@ func (in *Instance) Subset(keep []int) (*Instance, error) {
 		reqs = append(reqs, in.reqs[idx])
 		paths = append(paths, in.paths[idx])
 	}
-	return &Instance{net: in.net, slots: in.slots, reqs: reqs, paths: paths}, nil
+	return &Instance{net: in.net, slots: in.slots, k: in.k, reqs: reqs, paths: paths}, nil
 }
 
 // Validate re-checks the full instance state: every request against the

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"metis/internal/demand"
@@ -328,6 +329,45 @@ func TestCeilUnits(t *testing.T) {
 	for _, tt := range tests {
 		if got := CeilUnits(tt.in); got != tt.want {
 			t.Errorf("CeilUnits(%v) = %d, want %d", tt.in, got, tt.want)
+		}
+	}
+}
+
+// TestExtendMatchesNewInstance: growing an instance batch by batch with
+// Extend gives the same requests, path-set size and candidate paths as
+// building it in one NewInstance call, on the same network (shared path
+// memo) and on a fresh copy of the topology (memo filled independently).
+func TestExtendMatchesNewInstance(t *testing.T) {
+	net := wan.B4()
+	gen, err := demand.NewGenerator(net, demand.DefaultGeneratorConfig(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := gen.GenerateN(90)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 3, 5} {
+		inc, err := NewInstance(net, demand.DefaultSlots, reqs[:10], k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cut := range [][2]int{{10, 10}, {10, 45}, {45, 46}, {46, 90}} {
+			if inc, err = inc.Extend(reqs[cut[0]:cut[1]]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, other := range []*wan.Network{net, wan.B4()} {
+			whole, err := NewInstance(other, demand.DefaultSlots, reqs, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inc.PathsPerRequest() != k || whole.PathsPerRequest() != k {
+				t.Fatalf("k=%d: path-set sizes %d and %d", k, inc.PathsPerRequest(), whole.PathsPerRequest())
+			}
+			if !reflect.DeepEqual(inc.reqs, whole.reqs) || !reflect.DeepEqual(inc.paths, whole.paths) {
+				t.Fatalf("k=%d: Extend chain differs from NewInstance", k)
+			}
 		}
 	}
 }

@@ -399,7 +399,7 @@ func (s *Server) recoverTick(tr *walTick, st *RecoverStats) error {
 	// warm incumbent/relaxation are rebuilt by the next replan.
 	if rp, ok := s.cfg.Policy.(replayPolicy); ok {
 		if len(observed) > 0 {
-			if err := rp.observeReplay(s.cfg.Net, s.cfg.Slots, observed); err != nil {
+			if err := rp.observeReplay(s.cfg.Net, s.cfg.Slots, s.cfg.PathsPerRequest, observed); err != nil {
 				return fmt.Errorf("serve: wal tick %d policy catch-up: %w", tr.Epoch, err)
 			}
 		}

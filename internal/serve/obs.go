@@ -30,9 +30,11 @@ var (
 	cFlightDumps      = obs.NewCounter("serve.flight.dumps", "postmortem bundles dumped by the flight recorder")
 	cFlightSuppressed = obs.NewCounter("serve.flight.suppressed", "flight-recorder triggers suppressed by the dump cooldown")
 
-	histTick   = obs.NewHistogram("serve.tick_seconds", "wall-clock seconds per epoch tick")
-	histReplan = obs.NewHistogram("serve.replan_ms", "milliseconds per metis replan inside a tick's policy call")
-	histAdmit  = obs.NewHistogram("serve.admit_ms", "milliseconds per metis admission pass inside a tick's policy call")
+	histTick     = obs.NewHistogram("serve.tick_seconds", "wall-clock seconds per epoch tick")
+	histInstance = obs.NewHistogram("serve.instance_ms", "milliseconds per tick building the batch's scheduling instance (validation and candidate paths)")
+	histObserve  = obs.NewHistogram("serve.observe_ms", "milliseconds per metis policy call folding the batch into the replanner's cycle workload")
+	histReplan   = obs.NewHistogram("serve.replan_ms", "milliseconds per metis replan inside a tick's policy call")
+	histAdmit    = obs.NewHistogram("serve.admit_ms", "milliseconds per metis admission pass inside a tick's policy call")
 )
 
 // Decision outcomes used to key the per-policy latency histograms.

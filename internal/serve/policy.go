@@ -205,8 +205,9 @@ func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Insta
 	// The replanner accumulates the cycle's workload; the plan it
 	// produces is a whole-cycle provision, not a per-epoch one.
 	if p.rp == nil {
-		p.rp = core.NewReplanner(inst.Network(), inst.Slots(), sched.DefaultPathsPerRequest, p.Config, p.Mode)
+		p.rp = core.NewReplanner(inst.Network(), inst.Slots(), inst.PathsPerRequest(), p.Config, p.Mode)
 	}
+	observeStart := time.Now()
 	batch := make([]demand.Request, inst.NumRequests())
 	for i := range batch {
 		batch[i] = inst.Request(i)
@@ -214,6 +215,7 @@ func (p *MetisPolicy) Decide(ctx context.Context, led *Ledger, inst *sched.Insta
 	if err := p.rp.Observe(batch); err != nil {
 		return nil, fmt.Errorf("serve: metis replan: %w", err)
 	}
+	histObserve.Observe(millisSince(observeStart))
 
 	due := !p.havePlan || epoch-p.lastReplan >= p.ReplanEvery
 	if due && p.rp.NumObserved() > p.rp.NumPlanned() {
@@ -320,7 +322,7 @@ type PolicyState struct {
 // it fits; otherwise it returns a *SnapshotError and changes nothing.
 type statefulPolicy interface {
 	policyState() *PolicyState
-	restorePolicyState(st *PolicyState, net *wan.Network, slots int) error
+	restorePolicyState(st *PolicyState, net *wan.Network, slots, pathsPerRequest int) error
 }
 
 // replayPolicy is implemented by policies that participate in WAL
@@ -332,14 +334,14 @@ type statefulPolicy interface {
 // the redo record; metis-incremental recovers them only from a
 // snapshot, so its bit-identical failover needs per-op snapshots.
 type replayPolicy interface {
-	observeReplay(net *wan.Network, slots int, batch []demand.Request) error
+	observeReplay(net *wan.Network, slots, pathsPerRequest int, batch []demand.Request) error
 	applyReplayDelta(d *walPolicyDelta)
 	replayDelta() *walPolicyDelta
 }
 
-func (p *MetisPolicy) observeReplay(net *wan.Network, slots int, batch []demand.Request) error {
+func (p *MetisPolicy) observeReplay(net *wan.Network, slots, pathsPerRequest int, batch []demand.Request) error {
 	if p.rp == nil {
-		p.rp = core.NewReplanner(net, slots, sched.DefaultPathsPerRequest, p.Config, p.Mode)
+		p.rp = core.NewReplanner(net, slots, pathsPerRequest, p.Config, p.Mode)
 	}
 	return p.rp.Observe(batch)
 }
@@ -386,11 +388,11 @@ func (p *MetisPolicy) policyState() *PolicyState {
 	}
 }
 
-func (p *MetisPolicy) restorePolicyState(st *PolicyState, net *wan.Network, slots int) error {
+func (p *MetisPolicy) restorePolicyState(st *PolicyState, net *wan.Network, slots, pathsPerRequest int) error {
 	if st == nil {
 		return nil
 	}
-	rp := core.NewReplanner(net, slots, sched.DefaultPathsPerRequest, p.Config, p.Mode)
+	rp := core.NewReplanner(net, slots, pathsPerRequest, p.Config, p.Mode)
 	if len(st.Seen) > 0 {
 		if err := rp.Observe(st.Seen); err != nil {
 			return badSnapshot("policy.seen", "%v", err)

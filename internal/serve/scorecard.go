@@ -51,10 +51,15 @@ type EpochRecord struct {
 	SolveStatus   string  `json:"solveStatus"`
 	BudgetMillis  float64 `json:"budgetMillis"`
 	ElapsedMillis float64 `json:"elapsedMillis"`
-	// ReplanMillis is the share of ElapsedMillis the policy spent
-	// replanning (the tick's delta of the serve.replan_ms histogram's
-	// sum; 0 for ticks without a replan).
-	ReplanMillis float64 `json:"replanMillis"`
+	// Phase shares of ElapsedMillis. InstanceMillis is the tick's
+	// sched.NewInstance over the live batch (serve.instance_ms).
+	// ObserveMillis is the metis policy folding the batch into its
+	// replanner (the tick's delta of the serve.observe_ms histogram's
+	// sum). ReplanMillis is the policy's replan (the tick's delta of
+	// serve.replan_ms; 0 for ticks without a replan).
+	InstanceMillis float64 `json:"instanceMillis"`
+	ObserveMillis  float64 `json:"observeMillis"`
+	ReplanMillis   float64 `json:"replanMillis"`
 
 	// Request latency inside this epoch (arrival → batch claim).
 	QueueWaitMeanMillis float64 `json:"queueWaitMeanMillis"`

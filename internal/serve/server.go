@@ -721,7 +721,7 @@ func (s *Server) Tick(ctx context.Context) {
 	tickCtx, cancel := context.WithTimeout(contextOrBackground(ctx), budget)
 	defer cancel()
 	before := obs.Snapshot() // solver-activity baseline for the scorecard
-	replanBefore := histReplan.Sum()
+	replanBefore, observeBefore := histReplan.Sum(), histObserve.Sum()
 
 	// Claim the batch; keep it snapshot-visible in s.deciding so a
 	// concurrent snapshot cannot lose in-flight arrivals.
@@ -759,6 +759,7 @@ func (s *Server) Tick(ctx context.Context) {
 		batchInst  *sched.Instance
 		liveIdx    []int // batch positions that made it into the instance
 		expiredIdx []int // batch positions whose window already ended
+		instMillis float64
 	)
 
 	if len(batch) > 0 {
@@ -781,7 +782,10 @@ func (s *Server) Tick(ctx context.Context) {
 		}
 		if len(reqs) > 0 {
 			var err error
+			instStart := time.Now()
 			batchInst, err = sched.NewInstance(s.cfg.Net, s.cfg.Slots, reqs, s.cfg.PathsPerRequest)
+			instMillis = millisSince(instStart)
+			histInstance.Observe(instMillis)
 			if err != nil {
 				// Validated at ingest, so this is unreachable in
 				// practice; reject the batch rather than crash the loop.
@@ -1010,25 +1014,27 @@ func (s *Server) Tick(ctx context.Context) {
 	// whole tick.
 	after := obs.Snapshot()
 	rec := EpochRecord{
-		Epoch:         epoch,
-		Cycle:         epoch / s.cfg.Slots,
-		Slot:          slot,
-		Policy:        s.cfg.Policy.Name(),
-		Role:          roleName(s.role.Load()),
-		UnixMillis:    now.UnixMilli(),
-		Batch:         len(batch),
-		Accepted:      len(accepted),
-		Rejected:      len(rejected),
-		Expired:       len(expiredIdx),
-		Shed:          s.nShed.Load() - s.shedMark,
-		QueueDepth:    int(s.queueDepth.Load()),
-		Degraded:      degraded,
-		Overrun:       elapsed > budget,
-		BudgetMillis:  float64(budget.Microseconds()) / 1e3,
-		ElapsedMillis: float64(elapsed.Microseconds()) / 1e3,
-		ReplanMillis:  histReplan.Sum() - replanBefore,
-		RevenueDelta:  s.revenue - revBefore,
-		CostDelta:     s.led.Cost() - costBefore,
+		Epoch:          epoch,
+		Cycle:          epoch / s.cfg.Slots,
+		Slot:           slot,
+		Policy:         s.cfg.Policy.Name(),
+		Role:           roleName(s.role.Load()),
+		UnixMillis:     now.UnixMilli(),
+		Batch:          len(batch),
+		Accepted:       len(accepted),
+		Rejected:       len(rejected),
+		Expired:        len(expiredIdx),
+		Shed:           s.nShed.Load() - s.shedMark,
+		QueueDepth:     int(s.queueDepth.Load()),
+		Degraded:       degraded,
+		Overrun:        elapsed > budget,
+		BudgetMillis:   float64(budget.Microseconds()) / 1e3,
+		ElapsedMillis:  float64(elapsed.Microseconds()) / 1e3,
+		InstanceMillis: instMillis,
+		ObserveMillis:  histObserve.Sum() - observeBefore,
+		ReplanMillis:   histReplan.Sum() - replanBefore,
+		RevenueDelta:   s.revenue - revBefore,
+		CostDelta:      s.led.Cost() - costBefore,
 	}
 	rec.ProfitDelta = rec.RevenueDelta - rec.CostDelta
 	if len(batch) > 0 {
@@ -1082,6 +1088,8 @@ func (s *Server) Tick(ctx context.Context) {
 			"policy":       s.cfg.Policy.Name(),
 			"budget_ms":    rec.BudgetMillis,
 			"elapsed_ms":   rec.ElapsedMillis,
+			"instance_ms":  rec.InstanceMillis,
+			"observe_ms":   rec.ObserveMillis,
 			"replan_ms":    rec.ReplanMillis,
 			"replan_skips": rec.ReplanSkips,
 			"queue_depth":  rec.QueueDepth,

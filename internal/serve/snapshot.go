@@ -196,7 +196,7 @@ func (s *Server) Restore(r io.Reader) error {
 	// success; nothing after it can fail.
 	if snap.Policy != nil {
 		if sp, ok := s.cfg.Policy.(statefulPolicy); ok && snap.Policy.Name == s.cfg.Policy.Name() {
-			if err := sp.restorePolicyState(snap.Policy, s.cfg.Net, s.cfg.Slots); err != nil {
+			if err := sp.restorePolicyState(snap.Policy, s.cfg.Net, s.cfg.Slots, s.cfg.PathsPerRequest); err != nil {
 				return err
 			}
 			s.policyImage = snap.Policy

@@ -9,9 +9,15 @@ package wan
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"metis/internal/graph"
+	"metis/internal/obs"
 )
+
+var cPathsEnumerated = obs.NewCounter("wan.paths.enumerated",
+	"candidate path sets enumerated by Yen's algorithm (one per network, src, dst and k)")
 
 // Region is a coarse geographic region used for bandwidth pricing.
 type Region int
@@ -81,13 +87,23 @@ type Path struct {
 	Price float64 `json:"price"` // sum of link prices (one unit, one cycle)
 }
 
-// Network is an immutable Inter-DC WAN topology with prices.
+// Network is an immutable Inter-DC WAN topology with prices. It is
+// safe for concurrent use.
 type Network struct {
 	name  string
 	dcs   []DC
 	links []Link
 	g     *graph.Graph
+
+	// pathMu guards paths, the memo behind Paths. A path set depends
+	// only on (src, dst, k) on a fixed topology, so each one is
+	// enumerated once and shared; the key space is at most
+	// NumDCs² × (distinct k).
+	pathMu sync.Mutex
+	paths  map[pathKey][]Path
 }
+
+type pathKey struct{ src, dst, k int }
 
 // NewNetwork builds a network from data centers and directed links.
 // Link ids are reassigned to their slice index.
@@ -140,19 +156,35 @@ func (n *Network) StronglyConnected() bool { return n.g.StronglyConnected() }
 
 // Paths returns up to k cheapest loopless paths from src to dst ordered
 // by ascending price.
+//
+// Each (src, dst, k) set is enumerated on first use and memoized on the
+// network, so every caller asking for it afterwards gets the same slice
+// (and the same Links slices inside it). The result is shared and
+// read-only: callers must copy before modifying it.
 func (n *Network) Paths(src, dst, k int) ([]Path, error) {
 	if src == dst {
 		return nil, fmt.Errorf("wan: src and dst are both DC %d", src)
+	}
+	key := pathKey{src, dst, k}
+	n.pathMu.Lock()
+	defer n.pathMu.Unlock()
+	if ps, ok := n.paths[key]; ok {
+		return ps, nil
 	}
 	gps, err := n.g.KShortestPaths(src, dst, k)
 	if err != nil {
 		return nil, fmt.Errorf("wan: paths %d→%d: %w", src, dst, err)
 	}
-	out := make([]Path, len(gps))
+	cPathsEnumerated.Inc()
+	ps := make([]Path, len(gps))
 	for i, gp := range gps {
-		out[i] = Path{Links: append([]int(nil), gp.Edges...), Price: gp.Cost}
+		ps[i] = Path{Links: slices.Clip(append([]int(nil), gp.Edges...)), Price: gp.Cost}
 	}
-	return out, nil
+	if n.paths == nil {
+		n.paths = make(map[pathKey][]Path)
+	}
+	n.paths[key] = ps
+	return ps, nil
 }
 
 // CheapestPathPrice returns the price of the cheapest src→dst path, i.e.
